@@ -975,7 +975,7 @@ JobReport run(const JobOptions& options,
   sim::SimServer server(options.seed, options.sim_threads, backend_kind,
                         options.num_shards);
   if (options.circuit_cache > 0) {
-    // Attach the compiled-cluster cache through the command queue so it
+    // Attach the compiled-cluster cache through the server mutex so it
     // never races gate traffic. Replay is bit-identical to a cold
     // compile, so this is purely a throughput knob.
     auto cache = std::make_shared<sim::ClusterCache>(options.circuit_cache);

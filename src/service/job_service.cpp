@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -102,20 +103,21 @@ void JobService::stop() {
     work_cv_.notify_all();
     admit_cv_.notify_all();
   }
+  // shutdown() wakes the blocked accept(); the fd is closed (and
+  // listen_fd_ written) only once the accept loop, which reads it, is
+  // joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     const qmpi::LockGuard lock(mu_);
-    conns.swap(conn_threads_);
+    conns.swap(connections_);
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& conn : conns) conn.thread.join();
   for (std::thread& t : executors_) {
     if (t.joinable()) t.join();
   }
@@ -132,6 +134,7 @@ ServiceStats JobService::stats() const {
   s.reserved_amps = reserved_amps_;
   s.forged_dropped = forged_dropped_;
   s.ops_executed = ops_executed_;
+  s.connection_threads = connections_.size();
   if (cache_) {
     s.cache_hits = cache_->hits();
     s.cache_misses = cache_->misses();
@@ -150,12 +153,30 @@ void JobService::accept_loop() {
       return;  // listen fd closed by stop()
     }
     ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-    const qmpi::LockGuard lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    std::list<Connection> finished;
+    {
+      const qmpi::LockGuard lock(mu_);
+      if (stopping_) {
+        ::close(fd);
+        return;
+      }
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        const auto next = std::next(it);
+        if (it->done) finished.splice(finished.end(), connections_, it);
+        it = next;
+      }
+      // List nodes never move, so the reader may keep a reference to its
+      // slot (stop() swaps the whole list out, which keeps them too).
+      Connection& conn = connections_.emplace_back();
+      conn.thread = std::thread([this, fd, &conn] {
+        serve_connection(fd);
+        const qmpi::LockGuard done_lock(mu_);
+        conn.done = true;
+      });
     }
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    // Joined outside mu_: a reader past its done mark may still be
+    // exiting, and executors must not wait on that.
+    for (Connection& conn : finished) conn.thread.join();
   }
 }
 

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <span>
 #include <string>
@@ -76,6 +77,7 @@ struct ServiceStats {
   std::uint64_t cache_hits = 0;       ///< shared cluster-cache counters
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
+  std::size_t connection_threads = 0;  ///< reader threads not yet joined
 };
 
 /// The resident job service. start() binds the port and spawns the accept
@@ -91,7 +93,7 @@ struct ServiceStats {
 /// one command (one kSvcCall op or one kSvcBatch of gates) before moving
 /// on, so an op-dense tenant cannot starve the others between O(2^n)
 /// sweeps. At most one executor runs a given session at a time — each
-/// Backend stays single-threaded exactly as SimServer guarantees
+/// Backend runs one operation at a time, exactly as SimServer guarantees
 /// elsewhere.
 class JobService {
  public:
@@ -184,7 +186,15 @@ class JobService {
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::vector<std::thread> executors_;
-  std::vector<std::thread> conn_threads_ QMPI_GUARDED_BY(mu_);
+  /// One reader thread per accepted connection. `done` (guarded by mu_,
+  /// which a nested struct cannot spell) is set as serve_connection
+  /// returns; accept_loop joins done slots before spawning the next
+  /// reader, so finished sessions do not pile up unjoined threads.
+  struct Connection {
+    std::thread thread;
+    bool done = false;
+  };
+  std::list<Connection> connections_ QMPI_GUARDED_BY(mu_);
   bool started_ = false;
 
   /// Guards all mutable session/queue state below. Top of the service

@@ -1,10 +1,7 @@
 #pragma once
 
-#include <deque>
-#include <functional>
-#include <future>
 #include <memory>
-#include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "core/sync.hpp"
@@ -12,72 +9,49 @@
 
 namespace qmpi::sim {
 
-/// Serialized access to a shared simulation Backend, mirroring the paper's
-/// prototype design (§6): "all ranks forward quantum operations to rank 0,
-/// which then applies the operation to the state vector. Rank 0 runs a
-/// separate thread that waits to receive gate operations to execute."
-///
-/// Rank threads call submit() with a closure over the Backend; the worker
-/// thread executes submissions strictly in arrival order and fulfills the
-/// returned future. This keeps the global state a faithful representation
-/// of the distributed machine at every step.
+/// Serialized access to a shared simulation Backend. The paper's prototype
+/// (§6) forwards every quantum operation to rank 0, where "a separate
+/// thread ... waits to receive gate operations to execute". What that
+/// design buys is one serialization point, not a thread, so it is modelled
+/// here as a mutex-guarded monitor — the same serialization point the TCP
+/// hub uses (Hub::sim_mu): call() runs the closure on the calling rank
+/// thread while holding SimServer::mutex. Backend calls never overlap, and
+/// each sees every call that finished before it, so the global state stays
+/// a faithful representation of the distributed machine at every step.
 ///
 /// The hosted backend is chosen at construction: the serial StateVector
 /// (the paper's rank-0 bottleneck) or the ShardedStateVector, whose
 /// per-worker slices are the first step toward true multi-rank
 /// distribution. Both produce bit-identical results, so callers never care
-/// which one is behind the queue.
+/// which one is behind the lock.
 class SimServer {
  public:
   /// `num_threads` configures the backend's worker-lane count for its
-  /// O(2^n) sweeps (see Backend::set_num_threads); the command thread
-  /// itself is always singular so operations stay strictly ordered.
+  /// O(2^n) sweeps (see Backend::set_num_threads); the mutex still admits
+  /// one operation at a time, so operations stay strictly ordered.
   /// `num_shards` is only meaningful for BackendKind::kSharded.
   explicit SimServer(std::uint64_t seed = kDefaultSeed,
                      unsigned num_threads = 1,
                      BackendKind backend = BackendKind::kSerial,
                      unsigned num_shards = 1)
-      : state_(make_backend(backend, seed, num_shards)),
-        worker_([this] { run(); }) {
+      : state_(make_backend(backend, seed, num_shards)) {
     state_->set_num_threads(num_threads);
-  }
-
-  ~SimServer() {
-    {
-      const qmpi::LockGuard lock(mutex_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
   }
 
   SimServer(const SimServer&) = delete;
   SimServer& operator=(const SimServer&) = delete;
 
-  /// Enqueues `fn(state)` for execution on the server thread; the returned
-  /// future carries fn's result (or exception).
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn, Backend&>> {
-    using R = std::invoke_result_t<Fn, Backend&>;
-    auto task = std::make_shared<std::packaged_task<R(Backend&)>>(
-        std::forward<Fn>(fn));
-    std::future<R> future = task->get_future();
-    {
-      const qmpi::LockGuard lock(mutex_);
-      queue_.emplace_back([task](Backend& sv) { (*task)(sv); });
-    }
-    cv_.notify_all();
-    return future;
-  }
-
-  /// Convenience: submit and wait for the result.
+  /// Runs `fn(state)` on the calling thread under the server mutex and
+  /// returns its result; an exception from fn propagates to the caller
+  /// and leaves the server serving.
   template <typename Fn>
   auto call(Fn&& fn) -> std::invoke_result_t<Fn, Backend&> {
-    return submit(std::forward<Fn>(fn)).get();
+    const qmpi::LockGuard lock(mutex_);
+    return std::forward<Fn>(fn)(*state_);
   }
 
   /// Reconfigures the simulation lane count; serialized with gate traffic
-  /// like any other command, so it never races an in-flight sweep.
+  /// like any other call, so it never races an in-flight sweep.
   void set_num_threads(unsigned n) {
     call([n](Backend& sv) {
       sv.set_num_threads(n);
@@ -89,28 +63,10 @@ class SimServer {
   const char* backend_name() const { return state_->name(); }
 
  private:
-  void run() {
-    qmpi::UniqueLock lock(mutex_);
-    for (;;) {
-      while (!stopping_ && queue_.empty()) cv_.wait(lock);
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      auto fn = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      fn(*state_);
-      lock.lock();
-    }
-  }
-
-  std::unique_ptr<Backend> state_;  ///< worker-thread-only after ctor
   qmpi::Mutex mutex_{"SimServer::mutex"};
-  qmpi::CondVar cv_;
-  std::deque<std::function<void(Backend&)>> queue_ QMPI_GUARDED_BY(mutex_);
-  bool stopping_ QMPI_GUARDED_BY(mutex_) = false;
-  std::thread worker_;
+  /// The pointer is set once in the ctor; the Backend behind it is only
+  /// touched inside call(), under mutex_.
+  const std::unique_ptr<Backend> state_;
 };
 
 }  // namespace qmpi::sim

@@ -18,7 +18,7 @@ namespace qmpi::sim {
 /// surface instead of raw closures over the Backend.
 ///
 /// Two implementations exist:
-///   - LocalSimClient (below): submits to the in-process SimServer — the
+///   - LocalSimClient (below): calls into the in-process SimServer — the
 ///     path every threads-as-ranks job takes.
 ///   - RemoteSimClient (core/sim_wire.hpp): serializes each call onto the
 ///     rank process's hub connection, where the launcher-hosted backend
@@ -94,9 +94,10 @@ class SimClient {
 inline constexpr std::size_t kDefaultSimBatchOps = 1024;
 inline constexpr std::size_t kMaxSimBatchOps = 1u << 20;
 
-/// SimClient over the in-process SimServer: each call is one serialized
-/// command on the server's worker thread, preserving the strict arrival
-/// order the shared-state simulation depends on.
+/// SimClient over the in-process SimServer: each call runs on the calling
+/// rank thread under the server's mutex, preserving the strict one-at-a-time
+/// order the shared-state simulation depends on. Closures never outlive the
+/// call, so span arguments are passed through without copying.
 class LocalSimClient final : public SimClient {
  public:
   explicit LocalSimClient(SimServer& server) : server_(&server) {}
@@ -107,9 +108,8 @@ class LocalSimClient final : public SimClient {
   }
 
   void deallocate_classical(std::span<const QubitId> ids) override {
-    std::vector<QubitId> copy(ids.begin(), ids.end());
-    server_->call([copy = std::move(copy)](Backend& sv) {
-      for (const auto id : copy) sv.deallocate_classical(id);
+    server_->call([ids](Backend& sv) {
+      for (const auto id : ids) sv.deallocate_classical(id);
       return 0;
     });
   }
@@ -152,10 +152,8 @@ class LocalSimClient final : public SimClient {
   }
 
   bool measure_parity(std::span<const QubitId> qubits) override {
-    std::vector<QubitId> copy(qubits.begin(), qubits.end());
-    return server_->call([copy = std::move(copy)](Backend& sv) {
-      return sv.measure_parity(copy);
-    });
+    return server_->call(
+        [qubits](Backend& sv) { return sv.measure_parity(qubits); });
   }
 
   double probability_one(QubitId qubit) override {
@@ -165,10 +163,8 @@ class LocalSimClient final : public SimClient {
 
   double expectation(
       std::span<const std::pair<QubitId, char>> paulis) override {
-    std::vector<std::pair<QubitId, char>> copy(paulis.begin(), paulis.end());
-    return server_->call([copy = std::move(copy)](Backend& sv) {
-      return sv.expectation(copy);
-    });
+    return server_->call(
+        [paulis](Backend& sv) { return sv.expectation(paulis); });
   }
 
   std::size_t num_qubits() override {

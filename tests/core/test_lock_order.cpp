@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "core/context.hpp"
 #include "core/lock_order.hpp"
 #include "core/sync.hpp"
 
@@ -187,6 +188,35 @@ TEST_F(LockOrderTest, DisabledValidatorChecksNothing) {
   a.unlock();
   b.unlock();
   EXPECT_EQ(qmpi::lockorder::edge_count(), 0u);
+  EXPECT_EQ(qmpi::lockorder::violation_count(), 0u);
+}
+
+TEST_F(LockOrderTest, InProcessJobEntersBackendLocksWithoutViolations) {
+  // Rank threads run their quantum ops themselves under SimServer::mutex,
+  // so they reach the backend's locks directly: the compiled-cluster cache
+  // and, past the parallel-sweep threshold (2^16 amplitudes), the thread
+  // pool. Two ranks x 8 qubits with 2 lanes and a cache cover both edges
+  // of the quantum-serialization row in docs/ARCHITECTURE.md §10.
+  qmpi::JobOptions options;
+  options.num_ranks = 2;
+  options.sim_threads = 2;
+  options.circuit_cache = 16;
+  qmpi::run(options, [](qmpi::Context& ctx) {
+    constexpr std::size_t kQubits = 8;
+    qmpi::QubitArray q = ctx.alloc_qmem(kQubits);
+    ctx.barrier();  // both registers exist: every sweep spans 2^16 amps
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t i = 0; i < kQubits; ++i) ctx.h(q[i]);
+      for (std::size_t i = 0; i + 1 < kQubits; ++i) ctx.cnot(q[i], q[i + 1]);
+      for (std::size_t i = 0; i < kQubits; ++i) ctx.rz(q[i], 0.1 * round);
+      (void)ctx.measure(q[0]);
+    }
+    const qmpi::Qubit peer = ctx.alloc_qmem(1)[0];
+    ctx.prepare_epr(peer, 1 - ctx.rank(), 0);
+    (void)ctx.measure(peer);
+    ctx.barrier();
+  });
+  EXPECT_GT(qmpi::lockorder::edge_count(), 0u);
   EXPECT_EQ(qmpi::lockorder::violation_count(), 0u);
 }
 

@@ -1,8 +1,9 @@
-// Tests for the SimServer command thread: ordering, futures, exceptions,
-// and concurrent submission from many client threads (the rank-0 forwarding
-// architecture of paper §6).
+// Tests for the SimServer monitor: ordering, exceptions, calling-thread
+// execution, and concurrent calls from many client threads (the rank-0
+// serialization point of paper §6).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -23,14 +24,15 @@ TEST(SimServer, ExecutesSubmissionsInOrder) {
   EXPECT_TRUE(one);
 }
 
-TEST(SimServer, FuturePropagatesExceptions) {
+TEST(SimServer, CallPropagatesExceptions) {
   sim::SimServer server;
-  auto future = server.submit([](sim::Backend& sv) {
-    sv.x(12345);  // unknown qubit
-    return 0;
-  });
-  EXPECT_THROW(future.get(), sim::SimulatorError);
-  // Server must survive the exception and keep serving.
+  EXPECT_THROW(server.call([](sim::Backend& sv) {
+                 sv.x(12345);  // unknown qubit
+                 return 0;
+               }),
+               sim::SimulatorError);
+  // Server must survive the exception (releasing its mutex) and keep
+  // serving.
   const auto q =
       server.call([](sim::Backend& sv) { return sv.allocate(1); });
   EXPECT_EQ(q.size(), 1u);
@@ -92,11 +94,79 @@ TEST(SimServer, HostsShardedBackendWithIdenticalResults) {
   }
 }
 
-TEST(SimServer, ShutdownWithPendingWorkCompletes) {
-  std::future<int> f;
-  {
-    sim::SimServer server;
-    f = server.submit([](sim::Backend&) { return 7; });
-  }  // destructor joins the worker
-  EXPECT_EQ(f.get(), 7);
+TEST(SimServer, CallRunsOnTheCallingThread) {
+  // No hand-off: the closure executes on whichever thread calls, so a rank
+  // thread enters the backend directly.
+  sim::SimServer server;
+  const auto on = [&server] {
+    return server.call(
+        [](sim::Backend&) { return std::this_thread::get_id(); });
+  };
+  EXPECT_EQ(on(), std::this_thread::get_id());
+  std::thread::id other_caller;
+  std::thread::id ran_on;
+  std::thread([&] {
+    other_caller = std::this_thread::get_id();
+    ran_on = on();
+  }).join();
+  EXPECT_EQ(ran_on, other_caller);
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+}
+
+TEST(SimServer, ConcurrentCallersWithThrowingOpsLeaveConsistentState) {
+  // Failing calls interleaved with good ones from many threads: every
+  // exception reaches its own caller, the mutex is released on the way
+  // out, and the state reflects exactly the operations that ran — a
+  // closure that throws after mutating keeps its mutation.
+  sim::SimServer server;
+  constexpr int kClients = 8;
+  constexpr int kOpsPerClient = 60;
+  std::vector<std::thread> clients;
+  std::vector<sim::QubitId> ids(kClients);
+  std::vector<int> failures(kClients, 0);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&server, &ids, &failures, c] {
+      const auto slot = static_cast<std::size_t>(c);
+      ids[slot] =
+          server.call([](sim::Backend& sv) { return sv.allocate(1); })[0];
+      const sim::QubitId q = ids[slot];
+      for (int i = 0; i < kOpsPerClient; ++i) {
+        if (i % 3 == 0) {
+          try {
+            server.call([](sim::Backend& sv) {
+              sv.x(12345);  // unknown qubit: the backend rejects it
+              return 0;
+            });
+          } catch (const sim::SimulatorError&) {
+            ++failures[slot];
+          }
+        }
+        if (i % 4 == 1) {
+          try {
+            server.call([q](sim::Backend& sv) -> int {
+              sv.x(q);
+              throw std::runtime_error("after a toggle");
+            });
+          } catch (const std::runtime_error&) {
+            ++failures[slot];
+          }
+        } else {
+          server.call([q](sim::Backend& sv) {
+            sv.x(q);
+            return 0;
+          });
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(server.call([](sim::Backend& sv) { return sv.num_qubits(); }),
+            static_cast<std::size_t>(kClients));
+  for (int c = 0; c < kClients; ++c) {
+    const auto slot = static_cast<std::size_t>(c);
+    EXPECT_EQ(failures[slot], kOpsPerClient / 3 + kOpsPerClient / 4);
+    const double p1 = server.call(
+        [q = ids[slot]](sim::Backend& sv) { return sv.probability_one(q); });
+    EXPECT_DOUBLE_EQ(p1, 0.0);  // 60 toggles = even
+  }
 }

@@ -659,8 +659,28 @@ void bench_isa_trotter(benchmark::State& state, simd::Isa isa,
                           static_cast<std::int64_t>(4 * n - 3));
 }
 
+/// One fused cluster on state positions 0..3: a CNOT·Rz·CNOT chain over
+/// three bonds (9 gates, k = 4). Its lowest block bit is 0, so the replay
+/// takes the short-run row tile rather than the in-place stream.
+void bench_isa_low_cluster(benchmark::State& state, simd::Isa isa,
+                           std::size_t n) {
+  simd::set_active(isa);
+  sim::StateVector sv(g_seed);
+  const auto q = sv.allocate(n);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      sv.cnot(q[i], q[i + 1]);
+      sv.rz(q[i + 1], 0.04);
+      sv.cnot(q[i], q[i + 1]);
+    }
+    sv.flush_gates();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 9);
+}
+
 void register_isa_series() {
   constexpr std::size_t kIsaQubits = 20;
+  constexpr std::size_t kLowClusterQubits = 14;  // 256 KiB: L2-resident
   for (const simd::Isa isa :
        {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
     if (!simd::available(isa)) continue;
@@ -679,6 +699,11 @@ void register_isa_series() {
         ("BM_TrotterStepFusedIsa/" + tag).c_str(),
         [isa](benchmark::State& st) {
           bench_isa_trotter(st, isa, kIsaQubits);
+        });
+    benchmark::RegisterBenchmark(
+        ("BM_FusedClusterLowIsa/" + tag).c_str(),
+        [isa](benchmark::State& st) {
+          bench_isa_low_cluster(st, isa, kLowClusterQubits);
         });
   }
 }

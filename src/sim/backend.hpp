@@ -288,8 +288,8 @@ class Backend {
                         std::uint64_t ctrl_mask) const = 0;
 
   /// Applies a fused k-qubit cluster whose bit j lives at logical position
-  /// `pos[j]`, by replaying the compiled instructions on each gathered 2^k
-  /// block in one sweep. kernels::run_block_ops is arithmetic-identical to
+  /// `pos[j]`, by replaying the compiled instructions over every 2^k block
+  /// in one sweep. kernels::run_block_ops is arithmetic-identical to
   /// applying each gate in its own apply_at sweep, so fusion changes how
   /// often memory is walked, never what is computed.
   virtual void apply_cluster_at(

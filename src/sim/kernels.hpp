@@ -437,6 +437,19 @@ inline void run_block_ops(Complex* block, std::span<const BlockOp> ops) {
   }
 }
 
+/// Gather offsets of a 2^k block spanned by the state bits `pos[0..k)`:
+/// block-local index b -> OR of the state bits it sets.
+inline std::array<std::size_t, 1ULL << kMaxBlockQubits> block_offsets(
+    std::span<const std::size_t> pos) {
+  std::array<std::size_t, 1ULL << kMaxBlockQubits> offs{};
+  for (std::size_t b = 0; b < (1ULL << pos.size()); ++b) {
+    for (std::size_t j = 0; j < pos.size(); ++j) {
+      if ((b >> j) & 1ULL) offs[b] |= 1ULL << pos[j];
+    }
+  }
+  return offs;
+}
+
 /// Enumerates every aligned 2^k-amplitude block spanned by the state-index
 /// bits `pos[0..k)` (block-local bit j lives at state bit pos[j]; any
 /// order, need not be sorted) whose fixed control bits `ctrl_mask` are all
@@ -461,15 +474,7 @@ void sweep_kq(Complex* amp, std::size_t n, std::span<const std::size_t> pos,
   const int nctrl = std::popcount(ctrl_mask);
   const std::size_t blocks = n >> (k + static_cast<std::size_t>(nctrl));
 
-  // Gather offsets: block-local index b -> OR of the state bits it sets.
-  std::array<std::size_t, 1ULL << kMaxBlockQubits> offs{};
-  for (std::size_t b = 0; b < block_size; ++b) {
-    std::size_t o = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if ((b >> j) & 1ULL) o |= 1ULL << pos[j];
-    }
-    offs[b] = o;
-  }
+  const auto offs = block_offsets(pos);
 
   pfor(blocks, [&](std::size_t begin, std::size_t end) {
     std::array<Complex, 1ULL << kMaxBlockQubits> block;
@@ -503,22 +508,69 @@ inline std::size_t block_sweep_run(std::span<const std::size_t> pos,
   return std::size_t{1} << std::countr_zero(fixed);
 }
 
+/// Replays compiled cluster ops across `c` blocks at once. Block-local
+/// offset b of all `c` blocks is the contiguous run `p + offs[b]`, so each
+/// op costs one simd primitive call per index it touches instead of one
+/// scalar update per block. Elementwise across the runs, so per amplitude
+/// the op sequence and arithmetic are exactly run_block_ops's — the one
+/// per-op dispatch of both vector replay paths below.
+inline void run_block_ops_rows(const simd::Ops& vo,
+                               std::span<const BlockOp> ops, Complex* p,
+                               const std::size_t* offs, std::size_t c) {
+  for (const BlockOp& op : ops) {
+    switch (op.kind) {
+      case BlockOp::Kind::kScale:
+        for (unsigned j = 0; j < op.count; ++j) {
+          vo.scale(p + offs[op.idx[j]], c, op.m00);
+        }
+        break;
+      case BlockOp::Kind::kSwap:
+        for (unsigned j = 0; j < op.count; ++j) {
+          vo.swap_halves(p + offs[op.idx[j]], p + offs[op.idx[j] | op.stride],
+                         c);
+        }
+        break;
+      case BlockOp::Kind::kAntiDiag:
+        for (unsigned j = 0; j < op.count; ++j) {
+          vo.pair_antidiag(p + offs[op.idx[j]],
+                           p + offs[op.idx[j] | op.stride], c, op.m01,
+                           op.m10);
+        }
+        break;
+      case BlockOp::Kind::kDense:
+        for (unsigned j = 0; j < op.count; ++j) {
+          vo.pair_dense(p + offs[op.idx[j]], p + offs[op.idx[j] | op.stride],
+                        c, op.m00, op.m01, op.m10, op.m11);
+        }
+        break;
+    }
+  }
+}
+
+/// Blocks per row tile of the short-run cluster replay: 2^k rows of this
+/// many amplitudes are at most 16 KiB of per-lane scratch.
+inline constexpr std::size_t kTileBlocks = 64;
+
 /// Fused-cluster replay over the whole state: semantically identical to
-/// sweep_kq + run_block_ops per gathered block, but when a SIMD tier is
-/// active and the blocks come in contiguous runs, the replay streams in
-/// place instead — no gather/scatter copies, each compiled op applied
-/// across a cache-blocked chunk of consecutive blocks with the vector
-/// primitives. Per amplitude the op sequence and arithmetic are exactly
-/// the gather path's, so fused-vs-unfused and shard-vs-serial contracts
-/// are unchanged.
+/// sweep_kq + run_block_ops per gathered block, which the scalar tier runs
+/// as the reference. With a SIMD tier active it takes one of two
+/// vectorized paths, both through run_block_ops_rows:
+///  - *in-place streaming* (block_sweep_run >= simd::kMinRun): blocks come
+///    in contiguous runs, so each op is applied in place across a
+///    cache-blocked chunk of consecutive blocks — no copies;
+///  - *row tile* (run < kMinRun, i.e. a cluster or control bit on state
+///    position 0 or 1): a tile of kTileBlocks consecutive blocks is
+///    gathered into 2^k rows, row b holding block-local offset b of every
+///    block, replayed across the rows, and scattered back.
+/// Per amplitude the op sequence and arithmetic are exactly the gather
+/// path's, so fused-vs-unfused and shard-vs-serial contracts are unchanged.
 template <typename PFor>
 void run_block_ops_sweep(Complex* amp, std::size_t n,
                          std::span<const std::size_t> pos,
                          std::uint64_t ctrl_mask, PFor&& pfor,
                          std::span<const BlockOp> ops) {
   const simd::Ops& vo = simd::ops();
-  const std::size_t run = block_sweep_run(pos, ctrl_mask);
-  if (vo.isa == simd::Isa::kScalar || run < simd::kMinRun) {
+  if (vo.isa == simd::Isa::kScalar) {
     sweep_kq(amp, n, pos, ctrl_mask, std::forward<PFor>(pfor),
              [ops](Complex* block) { run_block_ops(block, ops); });
     return;
@@ -531,17 +583,42 @@ void run_block_ops_sweep(Complex* amp, std::size_t n,
   ex.base = ctrl_mask;
   const int nctrl = std::popcount(ctrl_mask);
   const std::size_t blocks = n >> (k + static_cast<std::size_t>(nctrl));
-  std::array<std::size_t, 1ULL << kMaxBlockQubits> offs{};
-  for (std::size_t b = 0; b < (1ULL << k); ++b) {
-    std::size_t o = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if ((b >> j) & 1ULL) o |= 1ULL << pos[j];
-    }
-    offs[b] = o;
+  const auto offs = block_offsets(pos);
+  const std::size_t run = block_sweep_run(pos, ctrl_mask);
+
+  if (run < simd::kMinRun) {
+    std::array<std::size_t, 1ULL << kMaxBlockQubits> rows{};
+    for (std::size_t b = 0; b < (1ULL << k); ++b) rows[b] = b * kTileBlocks;
+    // ex(t + 1) from ex(t): set the fixed bits, carry +1 through them,
+    // clear them again and restore the controls.
+    std::uint64_t fixed = ctrl_mask;
+    for (const std::size_t p : pos) fixed |= 1ULL << p;
+    pfor(blocks, [&](std::size_t begin, std::size_t end) {
+      std::array<Complex, kTileBlocks << kMaxBlockQubits> tile;
+      std::array<std::size_t, kTileBlocks> bases;
+      for (std::size_t t = begin; t < end; t += kTileBlocks) {
+        const std::size_t c = std::min(kTileBlocks, end - t);
+        std::size_t next = ex(t);
+        for (std::size_t i = 0; i < c; ++i) {
+          bases[i] = next;
+          next = (((next | fixed) + 1) & ~fixed) | ctrl_mask;
+          for (std::size_t b = 0; b < (1ULL << k); ++b) {
+            tile[rows[b] + i] = amp[bases[i] | offs[b]];
+          }
+        }
+        run_block_ops_rows(vo, ops, tile.data(), rows.data(), c);
+        for (std::size_t i = 0; i < c; ++i) {
+          for (std::size_t b = 0; b < (1ULL << k); ++b) {
+            amp[bases[i] | offs[b]] = tile[rows[b] + i];
+          }
+        }
+      }
+    });
+    return;
   }
+
   const std::size_t chunk =
       std::max<std::size_t>(simd::kMinRun, kStreamAmps >> k);
-
   pfor(blocks, [&](std::size_t begin, std::size_t end) {
     std::size_t t = begin;
     while (t < end) {
@@ -549,37 +626,8 @@ void run_block_ops_sweep(Complex* amp, std::size_t n,
       const std::size_t base = ex(t);
       const std::size_t len = rend - t;
       for (std::size_t done = 0; done < len; done += chunk) {
-        Complex* p = amp + base + done;
-        const std::size_t c = std::min(chunk, len - done);
-        for (const BlockOp& op : ops) {
-          switch (op.kind) {
-            case BlockOp::Kind::kScale:
-              for (unsigned j = 0; j < op.count; ++j) {
-                vo.scale(p + offs[op.idx[j]], c, op.m00);
-              }
-              break;
-            case BlockOp::Kind::kSwap:
-              for (unsigned j = 0; j < op.count; ++j) {
-                vo.swap_halves(p + offs[op.idx[j]],
-                               p + offs[op.idx[j] | op.stride], c);
-              }
-              break;
-            case BlockOp::Kind::kAntiDiag:
-              for (unsigned j = 0; j < op.count; ++j) {
-                vo.pair_antidiag(p + offs[op.idx[j]],
-                                 p + offs[op.idx[j] | op.stride], c, op.m01,
-                                 op.m10);
-              }
-              break;
-            case BlockOp::Kind::kDense:
-              for (unsigned j = 0; j < op.count; ++j) {
-                vo.pair_dense(p + offs[op.idx[j]],
-                              p + offs[op.idx[j] | op.stride], c, op.m00,
-                              op.m01, op.m10, op.m11);
-              }
-              break;
-          }
-        }
+        run_block_ops_rows(vo, ops, amp + base + done, offs.data(),
+                           std::min(chunk, len - done));
       }
       t = rend;
     }
@@ -640,14 +688,7 @@ void apply_matrix_kq(Complex* amp, std::size_t n,
   ex.base = ctrl_mask;
   const int nctrl = std::popcount(ctrl_mask);
   const std::size_t blocks = n >> (k + static_cast<std::size_t>(nctrl));
-  std::array<std::size_t, 1ULL << kMaxBlockQubits> offs{};
-  for (std::size_t b = 0; b < block_size; ++b) {
-    std::size_t o = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if ((b >> j) & 1ULL) o |= 1ULL << pos[j];
-    }
-    offs[b] = o;
-  }
+  const auto offs = block_offsets(pos);
 
   pfor(blocks, [&](std::size_t begin, std::size_t end) {
     std::array<std::array<Complex, kMatrixChunk>, 1ULL << kMaxBlockQubits>

@@ -367,14 +367,7 @@ void ShardedStateVector::sweep_blocks_planned(
   for (const std::size_t p : pt) ex.add_position(p);
   ex.add_mask(pmask);
   ex.base = pmask;
-  std::array<std::size_t, 1ULL << kernels::kMaxBlockQubits> offs{};
-  for (std::size_t b = 0; b < block_size; ++b) {
-    std::size_t o = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if ((b >> j) & 1ULL) o |= 1ULL << pt[j];
-    }
-    offs[b] = o;
-  }
+  const auto offs = kernels::block_offsets(pt);
   const std::size_t blocks =
       (1ULL << num_qubits()) >>
       (k + static_cast<std::size_t>(std::popcount(pmask)));

@@ -115,10 +115,13 @@ const Ops& ops_for(Isa isa);
 /// Primitive table for the active tier.
 inline const Ops& ops() { return ops_for(active()); }
 
-/// Below this run length (in amplitudes) the sweeps keep their scalar
-/// inner loops: a function-pointer call per 1-2 amplitudes costs more
-/// than the vector lanes recover, and the AVX-512 path wants at least one
-/// full 4-amplitude vector. Gates on qubit positions >= 2 clear it.
+/// Below this run length (in amplitudes) a sweep cannot hand its state
+/// runs to the primitives directly: a function-pointer call per 1-2
+/// amplitudes costs more than the vector lanes recover, and the AVX-512
+/// path wants at least one full 4-amplitude vector. Gates on qubit
+/// positions >= 2 clear it. Below it, single gates keep scalar loops,
+/// while fused-cluster replay (kernels::run_block_ops_sweep) gathers a
+/// row tile of consecutive blocks so each row is a long run again.
 inline constexpr std::size_t kMinRun = 4;
 
 }  // namespace qmpi::sim::simd

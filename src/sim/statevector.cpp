@@ -56,8 +56,8 @@ void StateVector::apply_cluster_at(
     std::span<const std::size_t> pos,
     std::span<const kernels::BlockOp> ops) const {
   // One memory pass for the whole fused run: replay the compiled ops with
-  // the exact per-gate kernel arithmetic — streaming cache-blocked chunks
-  // in place when a SIMD tier is active, gather/scatter otherwise.
+  // the exact per-gate kernel arithmetic — in place or through a row tile
+  // when a SIMD tier is active, block gather/scatter on the scalar tier.
   kernels::run_block_ops_sweep(amplitudes_.data(), amplitudes_.size(), pos,
                                /*ctrl_mask=*/0, lanes_pfor(num_threads_),
                                ops);

@@ -13,8 +13,9 @@
 //
 // Coverage: the raw Ops primitives across odd sizes and unaligned
 // offsets; 1q kernels for every gate kind at every position; all
-// control-mask shapes (low/high/adjacent/multi); fused cluster replay and
-// dense matrices at k = 1..4; shard counts 1/2/4/8; worker-lane splits.
+// control-mask shapes (low/high/adjacent/multi); fused cluster replay
+// (in-place stream and row tile) and dense matrices at k = 1..4; shard
+// counts 1/2/4/8; worker-lane splits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -221,9 +222,12 @@ TEST(SimdIdentity, ControlMaskShapes) {
 
 // Fused clusters at k = 1..4: gate runs on overlapping qubit sets fuse
 // into one cluster, and the flush replays them through the streaming
-// cache-blocked sweep. Low-position clusters take the short-run fallback.
+// cache-blocked sweep. Clusters whose lowest qubit sits at position 0
+// (run 1) or 1 (run 2) take the gathered row tile instead, as does one
+// that straddles the lowest and highest qubit.
 TEST(SimdIdentity, FusedClusterReplayK1To4) {
-  for (const std::size_t base : {std::size_t{0}, std::size_t{5}}) {
+  for (const std::size_t base :
+       {std::size_t{0}, std::size_t{1}, std::size_t{5}}) {
     check_tiers([base](sim::Backend& sv,
                        const std::vector<sim::QubitId>& q) {
       // k=1: a run of same-target gates composes into one 2x2.
@@ -248,6 +252,13 @@ TEST(SimdIdentity, FusedClusterReplayK1To4) {
       sv.rz(q[base + 3], 0.17);
       sv.cnot(q[base + 2], q[base + 3]);
       sv.ry(q[base], 0.09);
+      sv.flush_gates();
+      // k=2 straddling the register: block bits 0 and n-1.
+      const std::size_t last = q.size() - 1;
+      sv.cnot(q[0], q[last]);
+      sv.ry(q[0], 0.27);
+      sv.rz(q[last], -0.33);
+      sv.cnot(q[last], q[0]);
       sv.flush_gates();
     });
   }
@@ -300,6 +311,12 @@ TEST(SimdIdentity, ShardedBackendAllTiers) {
             sv.rz(q[1], 0.21);
             sv.cnot(q[0], q[1]);
             sv.flush_gates();
+            for (std::size_t i = 0; i < 3; ++i) {  // k=4 chain on q[0..3]
+              sv.cnot(q[i], q[i + 1]);
+              sv.rz(q[i + 1], 0.13 + 0.02 * static_cast<double>(i));
+              sv.cnot(q[i], q[i + 1]);
+            }
+            sv.flush_gates();
           },
           s);
     }
@@ -308,7 +325,9 @@ TEST(SimdIdentity, ShardedBackendAllTiers) {
 
 // Worker-lane splits on a register large enough to cross kMinParallel:
 // lanes chunk the runs at arbitrary boundaries, which must not perturb
-// the vector tails.
+// the vector tails — nor the row tiles of low-position clusters. Those
+// split by blocks, so the cluster terms need 20 qubits to reach 2^16
+// blocks at k = 4; 3 lanes split at multiples of 8 blocks, mid-tile.
 TEST(SimdIdentity, ThreadedLanesStayBitIdentical) {
   constexpr std::size_t kBig = 17;
   for (const unsigned threads : {2U, 4U}) {
@@ -324,6 +343,23 @@ TEST(SimdIdentity, ThreadedLanesStayBitIdentical) {
           sv.flush_gates();
         },
         /*shards=*/0, threads, kBig);
+  }
+  constexpr std::size_t kTiled = 20;
+  for (const unsigned threads : {2U, 3U, 4U}) {
+    check_tiers(
+        [](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
+          sv.cnot(q[0], q[1]);
+          sv.rz(q[1], 0.21);
+          sv.cnot(q[0], q[1]);
+          sv.flush_gates();
+          for (std::size_t i = 0; i < 3; ++i) {
+            sv.cnot(q[i], q[i + 1]);
+            sv.rz(q[i + 1], 0.11 + 0.03 * static_cast<double>(i));
+            sv.cnot(q[i], q[i + 1]);
+          }
+          sv.flush_gates();
+        },
+        /*shards=*/0, threads, kTiled);
   }
 }
 

@@ -132,3 +132,22 @@ TEST(QmpiErrors, ExceptionsCarryUsefulMessages) {
     EXPECT_NE(std::string(e.what()).find("free_qmem"), std::string::npos);
   }
 }
+
+TEST(QmpiErrors, RunRejectsNonPositiveRankCounts) {
+  // The rank count is validated before any transport is opened, so the
+  // in-process and service paths fail alike (no service is listening here).
+  for (const TransportKind transport :
+       {TransportKind::kInproc, TransportKind::kService}) {
+    for (const int num_ranks : {0, -1}) {
+      JobOptions options;
+      options.transport = transport;
+      options.num_ranks = num_ranks;
+      try {
+        run(options, [](Context&) {});
+        FAIL() << "expected QmpiError for num_ranks=" << num_ranks;
+      } catch (const QmpiError& e) {
+        EXPECT_STREQ(e.what(), "run: num_ranks must be >= 1");
+      }
+    }
+  }
+}

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "classical/wire.hpp"
+#include "core/qmpi.hpp"
 #include "core/sim_wire.hpp"
 #include "service/job_service.hpp"
 #include "service/session_client.hpp"
@@ -215,6 +216,77 @@ TEST(ConcurrentSessions, ForgedCrossSessionFrameIsDroppedNotExecuted) {
   attacker.deallocate_classical(aq);
   attacker.close();
   victim.close();
+  service.stop();
+}
+
+/// What one seeded qmpi::run job observed: rank 0 inspects, then measures,
+/// every qubit of the job after an EPR pair and a QMPI_Send copy.
+struct JobOutcome {
+  std::vector<double> probs;
+  std::vector<bool> bits;
+  std::vector<std::uint64_t> totals;  ///< [epr_pairs, classical_bits] per category
+
+  bool operator==(const JobOutcome&) const = default;
+};
+
+JobOutcome run_job(qmpi::JobOptions options, qmpi::JobReport& report) {
+  options.num_ranks = 2;
+  options.seed = 0x5EED0042;
+  JobOutcome out;
+  report = qmpi::run(options, [&out](qmpi::Context& ctx) {
+    const int peer = 1 - ctx.rank();
+    qmpi::QubitArray q = ctx.alloc_qmem(2);
+    ctx.ry(q[1], 0.4 + 0.3 * ctx.rank());
+    ctx.prepare_epr(q[0], peer, 0);
+    ctx.cnot(q[1], q[0]);
+    if (ctx.rank() == 1) {
+      // The copy protocol measures on the sender only, and rank 0 measures
+      // only after it completes: the draw order is fixed by the program.
+      ctx.send(&q[1], 1, 0, 1);
+      ctx.classical_comm().send(q[0], 0, 900);
+      ctx.classical_comm().send(q[1], 0, 901);
+    } else {
+      qmpi::QubitArray copy = ctx.alloc_qmem(1);
+      ctx.recv(&copy[0], 1, 1, 1);
+      const qmpi::Qubit all[] = {
+          q[0], q[1], copy[0], ctx.classical_comm().recv<qmpi::Qubit>(1, 900),
+          ctx.classical_comm().recv<qmpi::Qubit>(1, 901)};
+      for (const qmpi::Qubit& x : all) out.probs.push_back(ctx.probability_one(x));
+      for (const qmpi::Qubit& x : all) out.bits.push_back(ctx.measure(x));
+    }
+    ctx.barrier();
+  });
+  for (const auto& c : report.totals_by_category) {
+    out.totals.push_back(c.epr_pairs);
+    out.totals.push_back(c.classical_bits);
+  }
+  return out;
+}
+
+TEST(ConcurrentSessions, ServiceTransportJobMatchesInProcess) {
+  JobService service{ServiceConfig{}};
+  service.start();
+
+  qmpi::JobReport inproc_report;
+  const JobOutcome inproc = run_job(qmpi::JobOptions{}, inproc_report);
+  ASSERT_EQ(inproc.bits.size(), 5u);
+  EXPECT_GT(inproc_report.total().epr_pairs, 0u);
+  EXPECT_GT(inproc_report.total().classical_bits, 0u);
+
+  qmpi::JobOptions options;
+  options.transport = qmpi::TransportKind::kService;
+  options.service_port = service.port();
+  qmpi::JobReport report;
+  EXPECT_EQ(run_job(options, report), inproc);
+  EXPECT_TRUE(report.notices.empty());
+
+  // The service hosts no rank processes: distributed degrades to sharded
+  // with exactly one notice, and the job still runs.
+  options.backend = qmpi::sim::BackendKind::kDistributed;
+  EXPECT_EQ(run_job(options, report), inproc);
+  ASSERT_EQ(report.notices.size(), 1u);
+  EXPECT_NE(report.notices[0].find("sharded backend"), std::string::npos)
+      << report.notices[0];
   service.stop();
 }
 

@@ -1569,7 +1569,7 @@ void SocketTransport::send_to_rank(int dest_world_rank, int owner_proc,
     } catch (const PeerLinkError& e) {
       // A broken direct link fails the whole job (peers blocked on this
       // process must wake), then surfaces the named edge to the caller.
-      fail(e.what());
+      shutdown(e.what());
       throw;
     }
   }
@@ -1602,7 +1602,7 @@ void SocketTransport::shutdown_local() {
   for (auto& box : boxes_) box->shutdown();
 }
 
-void SocketTransport::fail(const std::string& reason) {
+void SocketTransport::shutdown(const std::string& reason) {
   // Report the root cause to the hub BEFORE any local teardown: waking
   // sibling rank threads first lets their secondary ShutdownErrors race
   // into abort_run() ahead of this reason, and first-abort-wins would
@@ -1646,7 +1646,7 @@ void SocketTransport::post_sim(int dest_world_rank, Message msg) {
     try {
       if (mesh_->try_send(owner, dest_world_rank, msg)) return;
     } catch (const PeerLinkError& e) {
-      fail(e.what());
+      shutdown(e.what());
       throw;
     }
   }

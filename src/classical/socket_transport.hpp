@@ -80,12 +80,6 @@ struct RunConfig {
   bool operator==(const RunConfig&) const = default;
 };
 
-/// The contiguous block of world ranks hosted by one process.
-struct RankBlock {
-  int first = 0;
-  int count = 0;
-};
-
 /// Where one rank process accepts direct peer connections. Port 0 means
 /// "no listener": the process opted out of the p2p data plane
 /// (QMPI_P2P=off) and every message toward it must go through the hub.
@@ -498,15 +492,14 @@ class SocketTransport final : public Transport {
   Channel& channel(int dest_world_rank) override;
   Mailbox& mailbox(int world_rank) override;
   std::uint64_t allocate_context() override;
-  void shutdown() override { fail("a local rank failed"); }
+  /// Reports `reason` to the hub (peers see it in their QmpiError), then
+  /// wakes local sim waiters and blocked ranks.
+  void shutdown(const std::string& reason) override;
   const char* name() const override { return "tcp"; }
   bool peer_to_peer() const override { return mesh_ != nullptr; }
 
   /// The world ranks this process hosts.
   RankBlock local_ranks() const { return local_; }
-
-  /// shutdown() with a reason that peers will see in their QmpiError.
-  void fail(const std::string& reason);
 
   /// Ships a sim-channel message (channel >= ChannelKind::kSimCtl) toward
   /// the process hosting `dest_world_rank`: self-delivery invokes the sim
@@ -531,7 +524,7 @@ class SocketTransport final : public Transport {
   void set_sim_fence(std::function<void()> fence);
 
   /// Registers a hook invoked (with the reason) when the run dies —
-  /// locally via fail()/shutdown() or remotely via an abort broadcast —
+  /// locally via shutdown() or remotely via an abort broadcast —
   /// so blocked sim waiters wake with a typed error instead of hanging.
   void set_sim_fail(std::function<void(const std::string&)> on_fail);
 

@@ -9,11 +9,18 @@
 
 
 #include <cstdint>
+#include <string>
 
 #include "classical/mailbox.hpp"
 #include "classical/message.hpp"
 
 namespace qmpi::classical {
+
+/// The contiguous block of world ranks hosted by one process.
+struct RankBlock {
+  int first = 0;
+  int count = 0;
+};
 
 /// Data-plane endpoint: ordered eager delivery toward one fixed
 /// destination world rank.
@@ -84,9 +91,10 @@ class Channel {
 ///   - allocate_context() returns globally fresh ids: no two calls
 ///     anywhere in the world may observe the same id (communicator
 ///     isolation).
-///   - shutdown() wakes every locally blocked rank with ShutdownError
-///     and, for distributed transports, propagates the failure to all
-///     peer processes so the whole job fails fast instead of deadlocking.
+///   - shutdown(reason) wakes every locally blocked rank with
+///     ShutdownError and, for distributed transports, propagates the
+///     failure (with `reason`) to all peer processes so the whole job
+///     fails fast instead of deadlocking.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -101,8 +109,9 @@ class Transport {
   virtual std::uint64_t allocate_context() = 0;
 
   /// Fails the job fast: wakes local blocked ranks with ShutdownError and
-  /// propagates the abort to remote peers where applicable.
-  virtual void shutdown() = 0;
+  /// propagates the abort to remote peers where applicable, which see
+  /// `reason` in their error.
+  virtual void shutdown(const std::string& reason) = 0;
 
   /// Human-readable transport name ("inproc", "tcp") for diagnostics.
   virtual const char* name() const = 0;

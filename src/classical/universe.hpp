@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "classical/mailbox.hpp"
@@ -13,8 +14,8 @@ namespace qmpi::classical {
 /// In-process Transport: the shared state of a threads-as-ranks "MPI job".
 ///
 /// The Universe owns one mailbox per world rank and hands out fresh context
-/// ids for communicator duplication/splitting. It is created once by the
-/// Runtime and shared (by reference) with every rank thread; all members are
+/// ids for communicator duplication/splitting. It is created once per job
+/// and shared (by reference) with every rank thread; all members are
 /// thread-safe. Because every rank is local, every data-plane channel is a
 /// direct mailbox push — this is the zero-copy fast path the socket
 /// transport falls back to for co-hosted ranks.
@@ -55,8 +56,8 @@ class Universe final : public Transport {
 
   /// Wakes every rank blocked in a receive with ShutdownError. Called when a
   /// rank thread dies with an exception so the job fails fast instead of
-  /// deadlocking.
-  void shutdown() override {
+  /// deadlocking. Every rank is local, so there is no peer to tell why.
+  void shutdown(const std::string& /*reason*/) override {
     for (auto& box : mailboxes_) box->shutdown();
   }
 

@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "classical/socket_transport.hpp"
@@ -24,11 +19,6 @@
 #include "sim/thread_pool.hpp"
 
 namespace qmpi {
-
-Context::Context(classical::Comm user_comm, sim::SimServer& server,
-                 Trace* trace)
-    : Context(std::move(user_comm),
-              std::make_shared<sim::LocalSimClient>(server), trace) {}
 
 Context::Context(classical::Comm user_comm,
                  std::shared_ptr<sim::SimClient> sim, Trace* trace)
@@ -600,18 +590,9 @@ JobOptions JobOptions::from_env(JobOptions base) {
     }
   }
   if (const char* batch = env::get("QMPI_SIM_BATCH")) {
-    const std::string_view b(batch);
-    if (b == "on") {
-      base.sim_batch_ops = sim::kDefaultSimBatchOps;
-    } else if (b == "off") {
-      base.sim_batch_ops = 0;
-    } else {
-      // An explicit size must be a positive number within the cap;
-      // "0" is rejected on purpose — disabling is spelled "off".
-      base.sim_batch_ops = static_cast<std::size_t>(
-          parse_env_number("QMPI_SIM_BATCH", batch, /*allow_zero=*/false,
-                           sim::kMaxSimBatchOps));
-    }
+    base.sim_batch_ops = static_cast<std::size_t>(env::parse_env_count_switch(
+        "QMPI_SIM_BATCH", batch, sim::kDefaultSimBatchOps,
+        sim::kMaxSimBatchOps));
   }
   if (const char* p2p = env::get("QMPI_P2P")) {
     const std::string_view p(p2p);
@@ -658,23 +639,94 @@ JobOptions JobOptions::from_env(JobOptions base) {
         "QMPI_SERVICE_QUBITS", qubits, /*allow_zero=*/false, 62));
   }
   if (const char* cache = env::get("QMPI_CIRCUIT_CACHE")) {
-    const std::string_view c(cache);
-    if (c == "on") {
-      base.circuit_cache = sim::kDefaultCircuitCacheEntries;
-    } else if (c == "off") {
-      base.circuit_cache = 0;
-    } else {
-      // Same contract as QMPI_SIM_BATCH: an explicit size must be a
-      // positive number; disabling is spelled "off".
-      base.circuit_cache = static_cast<std::size_t>(
-          parse_env_number("QMPI_CIRCUIT_CACHE", cache, /*allow_zero=*/false,
-                           1u << 24));
-    }
+    base.circuit_cache = static_cast<std::size_t>(env::parse_env_count_switch(
+        "QMPI_CIRCUIT_CACHE", cache, sim::kDefaultCircuitCacheEntries,
+        sim::kMaxCircuitCacheEntries));
   }
   return base;
 }
 
 namespace {
+
+/// A job's totals flattened to [epr_pairs, classical_bits] per category:
+/// the layout the tcp end barrier sums across processes.
+using Totals = std::vector<std::uint64_t>;
+constexpr auto kCategories = static_cast<std::size_t>(OpCategory::kCount_);
+
+/// Where one job's ranks and quantum state live — the only part of run()
+/// that depends on options.transport. Members are destroyed in reverse
+/// order, so the client goes before the transport and server it uses.
+struct Placement {
+  std::unique_ptr<sim::SimServer> server;  ///< inproc only
+  std::unique_ptr<classical::Transport> transport;
+  classical::RankBlock ranks;  ///< the ranks this process hosts
+  /// Shared by every local rank thread (and thus one op pipeline): the
+  /// buffer preserves per-process issue order.
+  std::shared_ptr<sim::SimClient> sim;
+  /// Closes the job once every rank thread has joined; maps this
+  /// process's totals to the job's.
+  std::function<Totals(Totals)> finish = [](Totals t) { return t; };
+  /// tcp only: raises the job-level error when every local failure was a
+  /// secondary ShutdownError (the cause lives in another process).
+  std::function<void()> explain_shutdown;
+};
+
+/// In process: every rank is a thread of a Universe, and every quantum
+/// operation runs on the calling rank thread against one SimServer.
+Placement place_inproc(const JobOptions& options, sim::BackendKind backend) {
+  Placement place;
+  place.server = std::make_unique<sim::SimServer>(
+      options.seed, options.sim_threads, backend, options.num_shards);
+  if (options.circuit_cache > 0) {
+    // Attach the compiled-cluster cache through the server mutex so it
+    // never races gate traffic. Replay is bit-identical to a cold
+    // compile, so this is purely a throughput knob.
+    auto cache = std::make_shared<sim::ClusterCache>(options.circuit_cache);
+    place.server->call([&cache](sim::Backend& b) {
+      b.set_cluster_cache(cache);
+      return 0;
+    });
+  }
+  place.transport = std::make_unique<classical::Universe>(options.num_ranks);
+  place.ranks = {0, options.num_ranks};
+  place.sim = std::make_shared<sim::LocalSimClient>(*place.server);
+  return place;
+}
+
+/// Under QMPI_TRANSPORT=service ranks are threads of this process, as in
+/// process, but every quantum operation goes to a session opened on a
+/// resident qmpid job service, which admits the session against its
+/// memory budget and fair-schedules its sweeps against other tenants'.
+/// The session is this job's private epoch/RNG namespace; other tenants
+/// on the same service cannot perturb it.
+Placement place_service(const JobOptions& options, sim::BackendKind backend) {
+  if (options.service_port == 0) {
+    throw QmpiError(
+        "QMPI_TRANSPORT=service requires QMPI_SERVICE_PORT (qmpid prints "
+        "the port it serves on)");
+  }
+  service::SessionConfig scfg;
+  scfg.host = options.service_host;
+  scfg.port = options.service_port;
+  scfg.seed = options.seed;
+  scfg.backend = backend;
+  scfg.num_shards = options.num_shards;
+  scfg.sim_threads = options.sim_threads;
+  scfg.max_qubits = options.service_qubits;
+  scfg.max_batch_ops = options.sim_batch_ops;
+  Placement place;
+  place.transport = std::make_unique<classical::Universe>(options.num_ranks);
+  place.ranks = {0, options.num_ranks};
+  // Throws the typed AdmissionError when the session can never fit the
+  // service's memory budget; blocks (FIFO) while capacity is merely busy.
+  auto session = std::make_shared<service::SessionClient>(scfg);
+  place.sim = session;
+  place.finish = [session](Totals t) {
+    session->close();
+    return t;
+  };
+  return place;
+}
 
 /// The process-wide hub connection for QMPI_TRANSPORT=tcp jobs. Created
 /// lazily on the first tcp run() and reused for every run in this process
@@ -702,17 +754,12 @@ classical::HubClient& tcp_hub_client() {
   return *client;
 }
 
-/// One run() under QMPI_TRANSPORT=tcp: this process hosts a contiguous
-/// block of the job's ranks as threads, every quantum operation is
-/// forwarded to the hub's backend, and resource totals are world-summed at
-/// the end barrier so the JobReport *totals* are identical in all
-/// processes. The trace (when enabled) deliberately stays per-process:
-/// it covers only locally hosted ranks and is not merged.
-JobReport run_tcp(const JobOptions& options,
-                  const std::function<void(Context&)>& fn) {
-  if (options.num_ranks < 1) {
-    throw QmpiError("run: num_ranks must be >= 1");
-  }
+/// Under QMPI_TRANSPORT=tcp this process joins a qmpirun-launched job: it
+/// hosts a contiguous block of the job's ranks, quantum operations go to
+/// the hub's backend (or, distributed, to this process's replica), and the
+/// totals are world-summed at the end barrier so they are identical in all
+/// processes.
+Placement place_tcp(const JobOptions& options) {
   classical::HubClient& hub = tcp_hub_client();
   const bool distributed =
       options.backend == sim::BackendKind::kDistributed;
@@ -747,272 +794,128 @@ JobReport run_tcp(const JobOptions& options,
   // peer's first message can race the registration, and keep the transport
   // alive until after end_run (the RUN_END_ACK guarantees no further
   // deliveries are in flight).
-  classical::SocketTransport transport(hub, options.num_ranks, options.p2p,
-                                       options.p2p_host);
-
-  // All locally hosted rank threads share one SimClient (and thus one op
-  // pipeline): the buffer preserves per-process issue order, and the
-  // transport's flush-before-post hook extends that order across
-  // processes. Destroyed before `transport` goes away, after end_run.
+  Placement place;
+  place.transport = std::make_unique<classical::SocketTransport>(
+      hub, options.num_ranks, options.p2p, options.p2p_host);
+  auto& transport = static_cast<classical::SocketTransport&>(*place.transport);
+  place.ranks = transport.local_ranks();
+  // The transport's flush-before-post hook extends the client's issue order
+  // across processes.
   //
-  // distributed: this process's backend replica lives inside the client
-  // and sweeps run here, so resolve the SIMD tier locally. The client must
-  // exist before the begin barrier completes — its sim sink has to be
-  // registered before any peer can address us. Hub-hosted backends are
-  // created after the barrier instead (their first op is a hub round trip,
-  // which cannot race anything).
-  std::shared_ptr<sim::SimClient> sim;
+  // distributed: this process's backend replica lives inside the client.
+  // The client must exist before the begin barrier completes — its sim sink
+  // has to be registered before any peer can address us. Hub-hosted
+  // backends are created after the barrier instead (their first op is a hub
+  // round trip, which cannot race anything).
   if (distributed && hub.proc_id() < sim_world) {
-    sim::simd::set_active(sim::simd::resolve(options.simd).isa);
     // Addressing inside the client uses rank_block over sim_world, which
     // agrees with the transport's real placement for every participating
     // process (the extras only ever truncate the tail of the blocks).
-    sim = std::make_shared<DistSimClient>(
+    place.sim = std::make_shared<DistSimClient>(
         transport, options.num_ranks, sim_world, hub.proc_id(),
         cfg.num_shards, options.seed, options.sim_threads,
         options.sim_batch_ops);
   }
   hub.begin_run(cfg);
   if (!distributed) {
-    sim = std::make_shared<RemoteSimClient>(hub, options.sim_batch_ops);
+    place.sim = std::make_shared<RemoteSimClient>(hub, options.sim_batch_ops);
   }
-  Trace trace;
-  Trace* trace_ptr = options.enable_trace ? &trace : nullptr;
-  const classical::RankBlock block = transport.local_ranks();
-
-  constexpr auto kCategories = static_cast<std::size_t>(OpCategory::kCount_);
-  std::vector<std::array<ResourceTracker::Counts, kCategories>> per_rank(
-      static_cast<std::size_t>(block.count));
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(block.count));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(block.count));
-  for (int i = 0; i < block.count; ++i) {
-    threads.emplace_back([&, i]() {
-      try {
-        classical::Comm world =
-            classical::Comm::world(transport, block.first + i);
-        Context ctx(world, sim, trace_ptr);
-        fn(ctx);
-        // Run boundary: every op this rank issued must execute (and any
-        // deferred batch error must surface *here*, attributed to a rank,
-        // where the harness's root-cause reporting can see it) before the
-        // job is allowed to complete.
-        ctx.sim().fence();
-        ctx.classical_comm().barrier();
-        for (std::size_t c = 0; c < kCategories; ++c) {
-          per_rank[static_cast<std::size_t>(i)][c] =
-              ctx.tracker()[static_cast<OpCategory>(c)];
-        }
-      } catch (const std::exception& e) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-        transport.fail(std::string("rank ") + std::to_string(block.first + i) +
-                       " failed: " + e.what());
-      } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-        transport.fail("rank " + std::to_string(block.first + i) +
-                       " failed with an unknown error");
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // Prefer the root-cause exception over secondary ShutdownErrors, as the
-  // in-process Runtime does; when every local failure is secondary the
-  // hub's abort reason carries the actual cause from the failing process.
-  std::exception_ptr first;
-  bool any_shutdown = false;
-  for (auto& e : errors) {
-    if (!e) continue;
-    try {
-      std::rethrow_exception(e);
-    } catch (const classical::ShutdownError&) {
-      any_shutdown = true;
-    } catch (...) {
-      if (!first) first = e;
-    }
-  }
-  if (first) std::rethrow_exception(first);
-  if (any_shutdown) {
+  // end_run translates a peer failure at the end barrier into a QmpiError
+  // carrying the job-level cause (possible even with zero local ranks).
+  place.finish = [&hub](Totals t) { return hub.end_run(t); };
+  place.explain_shutdown = [&hub] {
     const std::string reason = hub.dead_reason();
     throw QmpiError("QMPI job aborted" +
                     (reason.empty() ? std::string(" by a peer process")
                                     : ": " + reason));
-  }
-
-  // End barrier: flatten local totals, receive the world-wide sums. The
-  // wire layout is [epr_pairs, classical_bits] per category; if Counts
-  // ever grows a field, this assert forces the tcp path to learn about it
-  // (or inproc and tcp reports would silently diverge).
-  static_assert(sizeof(ResourceTracker::Counts) == 2 * sizeof(std::uint64_t),
-                "update the RUN_END totals layout for the new Counts field");
-  std::vector<std::uint64_t> totals(kCategories * 2, 0);
-  for (const auto& rank_counts : per_rank) {
-    for (std::size_t c = 0; c < kCategories; ++c) {
-      totals[2 * c] += rank_counts[c].epr_pairs;
-      totals[2 * c + 1] += rank_counts[c].classical_bits;
-    }
-  }
-  // end_run translates a peer failure at the end barrier into a QmpiError
-  // carrying the job-level cause (possible even with zero local ranks).
-  const auto world_totals = hub.end_run(totals);
-
-  JobReport report;
-  for (std::size_t c = 0;
-       c < kCategories && 2 * c + 1 < world_totals.size(); ++c) {
-    report.totals_by_category[c].epr_pairs = world_totals[2 * c];
-    report.totals_by_category[c].classical_bits = world_totals[2 * c + 1];
-  }
-  report.trace = trace.snapshot();
-  // Under tcp the sweep kernels run in the hub process (qmpirun), which
-  // reads its own QMPI_SIMD; resolving locally still records the fallback
-  // notice this node would hit, keeping reports honest either way.
-  const sim::simd::Selection simd_sel = sim::simd::resolve(options.simd);
-  if (!simd_sel.notice.empty()) report.notices.push_back(simd_sel.notice);
-  return report;
-}
-
-/// One run() under QMPI_TRANSPORT=service: ranks are threads of this
-/// process (exactly the in-process harness) but every quantum operation
-/// goes to a session opened on a resident qmpid job service, which admits
-/// the session against its memory budget and fair-schedules its sweeps
-/// against other tenants'. The session is this job's private epoch/RNG
-/// namespace; other tenants on the same service cannot perturb it.
-JobReport run_service(const JobOptions& options,
-                      const std::function<void(Context&)>& fn) {
-  if (options.num_ranks < 1) {
-    throw QmpiError("run: num_ranks must be >= 1");
-  }
-  if (options.service_port == 0) {
-    throw QmpiError(
-        "QMPI_TRANSPORT=service requires QMPI_SERVICE_PORT (qmpid prints "
-        "the port it serves on)");
-  }
-  // The service hosts serial/sharded sessions; the distributed backend
-  // needs rank processes, so degrade exactly as the in-process path does.
-  sim::BackendKind backend_kind = options.backend;
-  std::string backend_notice;
-  if (backend_kind == sim::BackendKind::kDistributed) {
-    backend_kind = sim::BackendKind::kSharded;
-    backend_notice =
-        "QMPI_BACKEND=distributed needs the tcp transport; this service "
-        "session ran the sharded backend (its single-process equivalent)";
-  }
-  service::SessionConfig scfg;
-  scfg.host = options.service_host;
-  scfg.port = options.service_port;
-  scfg.seed = options.seed;
-  scfg.backend = backend_kind;
-  scfg.num_shards = options.num_shards;
-  scfg.sim_threads = options.sim_threads;
-  scfg.max_qubits = options.service_qubits;
-  scfg.max_batch_ops = options.sim_batch_ops;
-  // Throws the typed AdmissionError when the session can never fit the
-  // service's memory budget; blocks (FIFO) while capacity is merely busy.
-  const auto sim = std::make_shared<service::SessionClient>(scfg);
-
-  Trace trace;
-  Trace* trace_ptr = options.enable_trace ? &trace : nullptr;
-  constexpr auto kCategories = static_cast<std::size_t>(OpCategory::kCount_);
-  std::vector<std::array<ResourceTracker::Counts, kCategories>> per_rank(
-      static_cast<std::size_t>(options.num_ranks));
-
-  classical::Runtime::run(options.num_ranks, [&](classical::Comm& world) {
-    Context ctx(world, sim, trace_ptr);
-    fn(ctx);
-    // Run boundary, as under tcp: every op must execute (and any deferred
-    // batch error must surface here, attributed to a rank) before the job
-    // may complete.
-    ctx.sim().fence();
-    ctx.classical_comm().barrier();
-    for (std::size_t c = 0; c < kCategories; ++c) {
-      per_rank[static_cast<std::size_t>(ctx.rank())][c] =
-          ctx.tracker()[static_cast<OpCategory>(c)];
-    }
-  });
-  sim->close();
-
-  JobReport report;
-  for (const auto& rank_counts : per_rank) {
-    for (std::size_t c = 0; c < kCategories; ++c) {
-      report.totals_by_category[c] += rank_counts[c];
-    }
-  }
-  report.trace = trace.snapshot();
-  if (!backend_notice.empty()) report.notices.push_back(backend_notice);
-  // Sweeps run in the qmpid process, which resolves its own QMPI_SIMD;
-  // recording the local fallback notice keeps reports honest, as in tcp.
-  const sim::simd::Selection simd_sel = sim::simd::resolve(options.simd);
-  if (!simd_sel.notice.empty()) report.notices.push_back(simd_sel.notice);
-  return report;
+  };
+  return place;
 }
 
 }  // namespace
 
 JobReport run(const JobOptions& options,
               const std::function<void(Context&)>& fn) {
-  if (options.transport == TransportKind::kTcp) return run_tcp(options, fn);
-  if (options.transport == TransportKind::kService) {
-    return run_service(options, fn);
+  if (options.num_ranks < 1) {
+    throw QmpiError("run: num_ranks must be >= 1");
   }
-  // The distributed backend needs rank processes; in-process it degrades
-  // to its world-1 equivalent — the sharded backend — with a notice, so
-  // one job script runs under either transport and the report stays
-  // honest about what executed.
-  sim::BackendKind backend_kind = options.backend;
-  std::string backend_notice;
-  if (backend_kind == sim::BackendKind::kDistributed) {
-    backend_kind = sim::BackendKind::kSharded;
-    backend_notice =
-        "QMPI_BACKEND=distributed needs the tcp transport; this in-process "
-        "job ran the sharded backend (its single-process equivalent)";
+  JobReport report;
+  // The distributed backend needs rank processes; without tcp it degrades
+  // to its world-1 equivalent — the sharded backend — with a notice, so one
+  // job script runs under any transport and the report stays honest about
+  // what executed.
+  sim::BackendKind backend = options.backend;
+  if (backend == sim::BackendKind::kDistributed &&
+      options.transport != TransportKind::kTcp) {
+    backend = sim::BackendKind::kSharded;
+    report.notices.push_back(
+        std::string("QMPI_BACKEND=distributed needs the tcp transport; this ") +
+        (options.transport == TransportKind::kService ? "service session"
+                                                      : "in-process job") +
+        " ran the sharded backend (its single-process equivalent)");
   }
-  // Resolve the SIMD tier before the backend exists so every sweep of this
+  // Resolve the SIMD tier before any backend exists so every sweep of this
   // job runs the selected kernels. Unavailable-ISA fallback is a notice,
-  // not an error — the report records what actually executed.
+  // not an error — the report records what actually executed. Only the
+  // in-process and distributed backends sweep here; hub and service
+  // backends read their own process's QMPI_SIMD, and the notice this node
+  // would hit is still recorded to keep reports honest.
   const sim::simd::Selection simd_sel = sim::simd::resolve(options.simd);
-  sim::simd::set_active(simd_sel.isa);
-  sim::SimServer server(options.seed, options.sim_threads, backend_kind,
-                        options.num_shards);
-  if (options.circuit_cache > 0) {
-    // Attach the compiled-cluster cache through the server mutex so it
-    // never races gate traffic. Replay is bit-identical to a cold
-    // compile, so this is purely a throughput knob.
-    auto cache = std::make_shared<sim::ClusterCache>(options.circuit_cache);
-    server.call([&cache](sim::Backend& b) {
-      b.set_cluster_cache(cache);
-      return 0;
-    });
+  if (options.transport == TransportKind::kInproc ||
+      backend == sim::BackendKind::kDistributed) {
+    sim::simd::set_active(simd_sel.isa);
   }
+  if (!simd_sel.notice.empty()) report.notices.push_back(simd_sel.notice);
+
+  Placement place = options.transport == TransportKind::kTcp
+                        ? place_tcp(options)
+                    : options.transport == TransportKind::kService
+                        ? place_service(options, backend)
+                        : place_inproc(options, backend);
+  // The trace (when enabled) covers only the locally hosted ranks; under
+  // tcp it deliberately stays per-process and is not merged.
   Trace trace;
   Trace* trace_ptr = options.enable_trace ? &trace : nullptr;
+  std::vector<std::array<ResourceTracker::Counts, kCategories>> per_rank(
+      static_cast<std::size_t>(place.ranks.count));
+  try {
+    classical::Runtime::run(
+        *place.transport, place.ranks, [&](classical::Comm& world) {
+          Context ctx(world, place.sim, trace_ptr);
+          fn(ctx);
+          // Run boundary: every op this rank issued must execute (and any
+          // deferred batch error must surface *here*, attributed to a
+          // rank) before the job is allowed to complete.
+          ctx.sim().fence();
+          ctx.classical_comm().barrier();
+          const int local = ctx.rank() - place.ranks.first;
+          auto& mine = per_rank[static_cast<std::size_t>(local)];
+          for (std::size_t c = 0; c < kCategories; ++c) {
+            mine[c] = ctx.tracker()[static_cast<OpCategory>(c)];
+          }
+        });
+  } catch (const classical::ShutdownError&) {
+    if (place.explain_shutdown) place.explain_shutdown();
+    throw;
+  }
 
-  // Collect per-rank category counters for the report.
-  std::vector<std::array<ResourceTracker::Counts,
-                         static_cast<std::size_t>(OpCategory::kCount_)>>
-      per_rank(static_cast<std::size_t>(options.num_ranks));
-
-  classical::Runtime::run(options.num_ranks, [&](classical::Comm& world) {
-    Context ctx(world, server, trace_ptr);
-    fn(ctx);
-    ctx.classical_comm().barrier();
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(OpCategory::kCount_); ++c) {
-      per_rank[static_cast<std::size_t>(ctx.rank())][c] =
-          ctx.tracker()[static_cast<OpCategory>(c)];
-    }
-  });
-
-  JobReport report;
+  // If Counts ever grows a field, this assert forces the flattened layout
+  // (and with it the tcp end barrier) to learn about it.
+  static_assert(sizeof(ResourceTracker::Counts) == 2 * sizeof(std::uint64_t),
+                "update the Totals layout for the new Counts field");
+  Totals totals(kCategories * 2, 0);
   for (const auto& rank_counts : per_rank) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(OpCategory::kCount_); ++c) {
-      report.totals_by_category[c] += rank_counts[c];
+    for (std::size_t c = 0; c < kCategories; ++c) {
+      totals[2 * c] += rank_counts[c].epr_pairs;
+      totals[2 * c + 1] += rank_counts[c].classical_bits;
     }
   }
+  totals = place.finish(std::move(totals));
+  for (std::size_t c = 0; c < kCategories && 2 * c + 1 < totals.size(); ++c) {
+    report.totals_by_category[c].epr_pairs = totals[2 * c];
+    report.totals_by_category[c].classical_bits = totals[2 * c + 1];
+  }
   report.trace = trace.snapshot();
-  if (!backend_notice.empty()) report.notices.push_back(backend_notice);
-  if (!simd_sel.notice.empty()) report.notices.push_back(simd_sel.notice);
   return report;
 }
 

@@ -147,12 +147,8 @@ struct PersistentHandle {
 /// with their inverses (§4.4, §4.5) plus resource accounting.
 class Context {
  public:
-  /// In-process construction: quantum operations go to the shared
-  /// SimServer through a LocalSimClient.
-  Context(classical::Comm user_comm, sim::SimServer& server, Trace* trace);
-
-  /// Transport-agnostic construction: quantum operations go wherever
-  /// `sim` points (the in-process server or a remote hub backend).
+  /// Quantum operations go wherever `sim` points: the in-process server
+  /// (LocalSimClient), a hub or service backend, or a distributed replica.
   Context(classical::Comm user_comm, std::shared_ptr<sim::SimClient> sim,
           Trace* trace);
 
@@ -541,17 +537,22 @@ struct JobOptions {
   /// (sim::kDefaultSeed) so every layer agrees on the reproducible default.
   std::uint64_t seed = sim::kDefaultSeed;
   bool enable_trace = false;
-  /// Which simulation backend the shared SimServer hosts.
+  /// Which simulation backend holds the job's state: in process, in the
+  /// qmpid session, or in qmpirun's hub. kDistributed keeps one replica
+  /// per rank process and so needs kTcp; elsewhere it runs as kSharded
+  /// and the JobReport carries a notice.
   sim::BackendKind backend = sim::BackendKind::kSerial;
   /// Slice count for the sharded backend (power of two; ignored otherwise).
   unsigned num_shards = 1;
   /// Worker lanes for the backend's O(2^n) sweeps.
   unsigned sim_threads = 1;
-  /// Classical fabric connecting the ranks (QMPI_TRANSPORT=inproc|tcp).
+  /// Classical fabric connecting the ranks
+  /// (QMPI_TRANSPORT=inproc|tcp|service).
   TransportKind transport = TransportKind::kInproc;
-  /// Max reply-free quantum ops the tcp transport coalesces into one
-  /// batch frame (QMPI_SIM_BATCH: on/off/<n>); 0 disables batching and
-  /// round-trips every op. Ignored by the in-process transport, and
+  /// Max reply-free quantum ops the tcp and service transports coalesce
+  /// into one batch frame (QMPI_SIM_BATCH: on/off/<n>); 0 disables
+  /// batching and round-trips every op. Ignored by the in-process
+  /// transport (its ops run on the calling thread), and
   /// deliberately not part of the hub's RunConfig barrier: batching is a
   /// per-process pipelining choice with bit-identical observable
   /// semantics, so processes may legally disagree on it.
@@ -589,8 +590,10 @@ struct JobOptions {
   /// Entry cap for the compiled-cluster cache attached to the in-process
   /// backend (QMPI_CIRCUIT_CACHE: on/off/<n>); 0 disables it. Under
   /// kService the cache lives service-side (qmpid's own knob) and this
-  /// field is ignored. Replay through the cache is bit-identical to a
-  /// cold compile, so like sim_batch_ops this never changes results.
+  /// field is ignored; under kTcp qmpirun's hub reads the variable itself,
+  /// and the distributed backend never attaches a cache. Replay through
+  /// the cache is bit-identical to a cold compile, so like sim_batch_ops
+  /// this never changes results.
   std::size_t circuit_cache = 0;
 
   /// Applies QMPI_SEED / QMPI_BACKEND / QMPI_SHARDS / QMPI_SIM_THREADS /
@@ -628,14 +631,19 @@ struct JobReport {
   }
 };
 
-/// Runs `fn` as a QMPI job on `options.num_ranks` ranks. With the default
-/// in-process transport every rank is a thread sharing one simulation
-/// server (the mpirun of this prototype). Under QMPI_TRANSPORT=tcp this
-/// process joins a qmpirun-launched multi-process job instead: it hosts
-/// its contiguous block of ranks (one thread each), forwards quantum
-/// operations to the hub's backend, and returns a JobReport whose resource
-/// totals are world-summed — i.e. identical in every process. The trace,
-/// when enabled, only covers locally hosted ranks under tcp.
+/// Runs `fn` as a QMPI job on `options.num_ranks` ranks (>= 1; fewer
+/// throws QmpiError) — the mpirun of this prototype. Every locally hosted
+/// rank is a thread; `options.transport` decides where the rest live:
+///   - kInproc (default): all ranks are threads of this process, sharing
+///     one in-process simulation server.
+///   - kService: all ranks are threads of this process; quantum operations
+///     go to a session on the qmpid job service at service_host:port.
+///   - kTcp: this process joins a qmpirun-launched multi-process job and
+///     hosts its contiguous block of ranks. Quantum operations go to the
+///     hub's backend, or with kDistributed to this process's replica of a
+///     state exchanged rank to rank. Resource totals are world-summed, so
+///     the JobReport totals are identical in every process; the trace,
+///     when enabled, covers only the locally hosted ranks.
 JobReport run(const JobOptions& options,
               const std::function<void(Context&)>& fn);
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "classical/error.hpp"
 
@@ -41,6 +42,15 @@ std::uint64_t parse_env_number(const char* name, const char* text,
                     "\" must be a positive number");
   }
   return v;
+}
+
+std::uint64_t parse_env_count_switch(const char* name, const char* text,
+                                     std::uint64_t on_value,
+                                     std::uint64_t max_value) {
+  const std::string_view t(text);
+  if (t == "on") return on_value;
+  if (t == "off") return 0;
+  return parse_env_number(name, text, /*allow_zero=*/false, max_value);
 }
 
 }  // namespace qmpi::env

@@ -33,4 +33,12 @@ std::uint64_t parse_env_number(
     const char* name, const char* text, bool allow_zero,
     std::uint64_t max_value = std::numeric_limits<std::uint64_t>::max());
 
+/// Parses an `on | off | <count>` override (QMPI_SIM_BATCH,
+/// QMPI_CIRCUIT_CACHE): "on" yields `on_value`, "off" yields 0, and
+/// anything else must be a positive number <= `max_value` — "0" is
+/// rejected on purpose, because disabling is spelled "off".
+std::uint64_t parse_env_count_switch(const char* name, const char* text,
+                                     std::uint64_t on_value,
+                                     std::uint64_t max_value);
+
 }  // namespace qmpi::env

@@ -283,8 +283,8 @@ DistSimClient::DistSimClient(classical::SocketTransport& transport,
 
 DistSimClient::~DistSimClient() {
   // Unhook first so no new deliveries reach us; the transport outlives
-  // this object (run_tcp's declaration order), so racing receiver threads
-  // see a null sink and drop.
+  // this object (the job harness's Placement member order), so racing
+  // receiver threads see a null sink and drop.
   transport_->set_sim_sink(nullptr);
   transport_->set_sim_fence(nullptr);
   transport_->set_sim_fail(nullptr);

@@ -48,17 +48,10 @@ ServiceConfig ServiceConfig::from_env() {
         env::parse_env_number("QMPI_MEM_BUDGET", text, /*allow_zero=*/false);
   }
   if (const char* text = env::get("QMPI_CIRCUIT_CACHE")) {
-    const std::string_view v(text);
-    if (v == "on") {
-      cfg.circuit_cache_entries = sim::kDefaultCircuitCacheEntries;
-    } else if (v == "off") {
-      cfg.circuit_cache_entries = 0;
-    } else {
-      // An explicit size must be positive; disabling is spelled "off".
-      cfg.circuit_cache_entries = static_cast<std::size_t>(
-          env::parse_env_number("QMPI_CIRCUIT_CACHE", text,
-                                /*allow_zero=*/false, 1u << 24));
-    }
+    cfg.circuit_cache_entries =
+        static_cast<std::size_t>(env::parse_env_count_switch(
+            "QMPI_CIRCUIT_CACHE", text, sim::kDefaultCircuitCacheEntries,
+            sim::kMaxCircuitCacheEntries));
   }
   if (const char* text = env::get("QMPI_SERVICE_EXECUTORS")) {
     cfg.executors = static_cast<unsigned>(env::parse_env_number(

@@ -24,6 +24,8 @@ namespace qmpi::sim {
 /// (QMPI_CIRCUIT_CACHE=on). One entry is at most kMaxFusedOps * 2 BlockOps
 /// (~2 KiB), so the default caps the cache near half a megabyte.
 inline constexpr std::size_t kDefaultCircuitCacheEntries = 256;
+/// Largest explicit QMPI_CIRCUIT_CACHE=<n> entry cap accepted.
+inline constexpr std::size_t kMaxCircuitCacheEntries = 1u << 24;
 
 /// Content key of one fused cluster: the byte image of everything
 /// compile_block_op's output depends on — qubit count (which fixes the

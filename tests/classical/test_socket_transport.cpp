@@ -77,7 +77,7 @@ void run_tcp_job(int nprocs, int num_ranks,
             } catch (...) {
               rank_errors[static_cast<std::size_t>(i)] =
                   std::current_exception();
-              transport.fail("rank failed");
+              transport.shutdown("rank failed");
             }
           });
         }

@@ -110,8 +110,8 @@ std::uint64_t run_distributed_job(
             } catch (...) {
               rank_errors[static_cast<std::size_t>(i)] =
                   std::current_exception();
-              transport.fail("rank " + std::to_string(block.first + i) +
-                             " failed");
+              transport.shutdown("rank " + std::to_string(block.first + i) +
+                                 " failed");
             }
           });
         }

@@ -224,7 +224,8 @@ TEST(ConcurrentSessions, ForgedCrossSessionFrameIsDroppedNotExecuted) {
 struct JobOutcome {
   std::vector<double> probs;
   std::vector<bool> bits;
-  std::vector<std::uint64_t> totals;  ///< [epr_pairs, classical_bits] per category
+  /// [epr_pairs, classical_bits] per category.
+  std::vector<std::uint64_t> totals;
 
   bool operator==(const JobOutcome&) const = default;
 };
@@ -251,7 +252,9 @@ JobOutcome run_job(qmpi::JobOptions options, qmpi::JobReport& report) {
       const qmpi::Qubit all[] = {
           q[0], q[1], copy[0], ctx.classical_comm().recv<qmpi::Qubit>(1, 900),
           ctx.classical_comm().recv<qmpi::Qubit>(1, 901)};
-      for (const qmpi::Qubit& x : all) out.probs.push_back(ctx.probability_one(x));
+      for (const qmpi::Qubit& x : all) {
+        out.probs.push_back(ctx.probability_one(x));
+      }
       for (const qmpi::Qubit& x : all) out.bits.push_back(ctx.measure(x));
     }
     ctx.barrier();

@@ -936,8 +936,18 @@ void HubClient::receiver_loop() {
           // rebroadcasts through post_remote(), which takes mu_ again.
           // Staying on this thread keeps per-connection FIFO intact.
           const auto deliver = deliver_;
+          delivering_ = true;
           lock.unlock();
-          deliver(dest, std::move(msg));
+          try {
+            deliver(dest, std::move(msg));
+          } catch (const ShutdownError&) {
+            // The run died while the sink (the sim plane's sequencer)
+            // was posting onward; that traffic is moot, and this
+            // connection must outlive the run.
+          }
+          lock.lock();
+          delivering_ = false;
+          cv_.notify_all();
           break;
         }
         case FrameType::kRunReady:
@@ -979,6 +989,7 @@ void HubClient::receiver_loop() {
     }
   } catch (const std::exception& e) {
     const qmpi::LockGuard lock(mu_);
+    delivering_ = false;  // a sink that threw has left it
     if (!fatal_) {
       fail_locked(std::string("lost connection to QMPI hub: ") + e.what(),
                   /*fatal=*/true);
@@ -1263,9 +1274,12 @@ void HubClient::post_remote(int dest_world_rank, const Message& msg) {
 void HubClient::set_sinks(
     std::function<void(int, Message)> deliver,
     std::function<void(const std::string&)> on_abort) {
-  const qmpi::LockGuard lock(mu_);
+  qmpi::UniqueLock lock(mu_);
   deliver_ = std::move(deliver);
   on_abort_ = std::move(on_abort);
+  // A delivery already handed to the old sink may still be running on the
+  // receiver thread; the sink's owner is about to be freed.
+  while (delivering_) cv_.wait(lock);
 }
 
 void HubClient::set_sim_flush(std::function<void()> flush) {
@@ -1498,6 +1512,36 @@ class SocketTransport::RankChannel final : public Channel {
   int owner_;  ///< process hosting dest_
 };
 
+void SocketTransport::set_sim_hooks(SimHooks hooks) {
+  auto next = hooks.sink || hooks.fence || hooks.fail
+                  ? std::make_shared<const SimHooks>(std::move(hooks))
+                  : nullptr;
+  qmpi::UniqueLock lock(sim_hooks_mu_);
+  sim_hooks_ = std::move(next);
+  // Calls that started before the swap may still be running the old
+  // hooks; their owner is about to be freed, so wait them out.
+  while (sim_hook_calls_ > 0) sim_hooks_idle_.wait(lock);
+}
+
+template <class Fn>
+void SocketTransport::with_sim_hooks(Fn&& fn) {
+  std::shared_ptr<const SimHooks> hooks;
+  {
+    const qmpi::LockGuard lock(sim_hooks_mu_);
+    if (!sim_hooks_) return;
+    hooks = sim_hooks_;
+    ++sim_hook_calls_;
+  }
+  struct Done {
+    SocketTransport* self;
+    ~Done() {
+      const qmpi::LockGuard lock(self->sim_hooks_mu_);
+      if (--self->sim_hook_calls_ == 0) self->sim_hooks_idle_.notify_all();
+    }
+  } done{this};
+  fn(*hooks);
+}
+
 SocketTransport::SocketTransport(HubClient& hub, int num_ranks, bool p2p,
                                  const std::string& p2p_host)
     : hub_(&hub), num_ranks_(num_ranks) {
@@ -1511,7 +1555,9 @@ SocketTransport::SocketTransport(HubClient& hub, int num_ranks, bool p2p,
         deliver_local(dest, std::move(msg));
       },
       [this](const std::string& reason) {
-        run_sim_fail(reason);
+        with_sim_hooks([&](const SimHooks& h) {
+          if (h.fail) h.fail(reason);
+        });
         shutdown_local();
       });
   if (p2p && hub.nprocs() > 1) {
@@ -1558,7 +1604,9 @@ void SocketTransport::send_to_rank(int dest_world_rank, int owner_proc,
   // fence here that sequences its pending ops through the root before
   // the message leaves; same-process deliveries above need no fence
   // because they share the origin's FIFO control stream.
-  run_sim_fence();
+  with_sim_hooks([](const SimHooks& h) {
+    if (h.fence) h.fence();
+  });
   if (mesh_ != nullptr) {
     // Restore the ops-before-message order hub routing gives for free:
     // any buffered quantum ops must be known executed before a message
@@ -1608,7 +1656,9 @@ void SocketTransport::shutdown(const std::string& reason) {
   // into abort_run() ahead of this reason, and first-abort-wins would
   // then pin the job-level message to the symptom instead of the cause.
   hub_->abort_run(reason);
-  run_sim_fail(reason);
+  with_sim_hooks([&](const SimHooks& h) {
+    if (h.fail) h.fail(reason);
+  });
   shutdown_local();
 }
 
@@ -1617,12 +1667,9 @@ void SocketTransport::deliver_local(int dest, Message msg) {
     // Sim-plane traffic never reaches a mailbox: it is addressed to the
     // process, not a rank, and the distributed backend consumes it on
     // whatever thread delivered it.
-    std::function<void(Message)> sink;
-    {
-      const qmpi::LockGuard lock(sim_hooks_mu_);
-      sink = sim_sink_;
-    }
-    if (sink) sink(std::move(msg));
+    with_sim_hooks([&](const SimHooks& h) {
+      if (h.sink) h.sink(std::move(msg));
+    });
     return;
   }
   if (is_local(dest)) {
@@ -1639,7 +1686,7 @@ void SocketTransport::post_sim(int dest_world_rank, Message msg) {
     deliver_local(dest_world_rank, std::move(msg));
     return;
   }
-  // Never run_sim_fence() here: sim-plane posts ARE the fenced traffic,
+  // Never run the fence hook here: sim-plane posts ARE the fenced traffic,
   // and fencing would recurse.
   const int owner = rank_owner(num_ranks_, hub_->nprocs(), dest_world_rank);
   if (mesh_ != nullptr) {
@@ -1651,39 +1698,6 @@ void SocketTransport::post_sim(int dest_world_rank, Message msg) {
     }
   }
   hub_->post_remote(dest_world_rank, msg);
-}
-
-void SocketTransport::set_sim_sink(std::function<void(Message)> sink) {
-  const qmpi::LockGuard lock(sim_hooks_mu_);
-  sim_sink_ = std::move(sink);
-}
-
-void SocketTransport::set_sim_fence(std::function<void()> fence) {
-  const qmpi::LockGuard lock(sim_hooks_mu_);
-  sim_fence_ = std::move(fence);
-}
-
-void SocketTransport::set_sim_fail(std::function<void(const std::string&)> on_fail) {
-  const qmpi::LockGuard lock(sim_hooks_mu_);
-  sim_fail_ = std::move(on_fail);
-}
-
-void SocketTransport::run_sim_fence() {
-  std::function<void()> fence;
-  {
-    const qmpi::LockGuard lock(sim_hooks_mu_);
-    fence = sim_fence_;
-  }
-  if (fence) fence();
-}
-
-void SocketTransport::run_sim_fail(const std::string& reason) {
-  std::function<void(const std::string&)> on_fail;
-  {
-    const qmpi::LockGuard lock(sim_hooks_mu_);
-    on_fail = sim_fail_;
-  }
-  if (on_fail) on_fail(reason);
 }
 
 }  // namespace qmpi::classical

@@ -324,7 +324,8 @@ class HubClient {
 
   /// Registers the delivery sink for incoming kDeliver frames and the
   /// abort hook (both invoked on the receiver thread). Pass nulls to
-  /// unregister between runs.
+  /// unregister between runs; that returns only once a delivery already
+  /// inside the old sink has left it. Must not be called from a sink.
   void set_sinks(std::function<void(int dest, Message)> deliver,
                  std::function<void(const std::string& reason)> on_abort);
 
@@ -368,6 +369,8 @@ class HubClient {
   /// Deferred failure of a one-way sim batch.
   std::string sim_post_error_ QMPI_GUARDED_BY(mu_);
   std::function<void(int, Message)> deliver_ QMPI_GUARDED_BY(mu_);
+  /// The receiver thread is inside deliver_ (invoked without mu_).
+  bool delivering_ QMPI_GUARDED_BY(mu_) = false;
   std::function<void(const std::string&)> on_abort_ QMPI_GUARDED_BY(mu_);
   std::function<void()> sim_flush_ QMPI_GUARDED_BY(mu_);
   /// Advertised by the next begin_run.
@@ -510,23 +513,28 @@ class SocketTransport final : public Transport {
   /// run is dead.
   void post_sim(int dest_world_rank, Message msg);
 
-  /// Registers the sink that receives every delivered message whose
-  /// channel is >= ChannelKind::kSimCtl (invoked on receiver threads, or
-  /// inline for self-sends). Such messages never reach rank mailboxes.
-  /// Pass nullptr to unregister; with no sink registered sim-channel
-  /// deliveries are dropped.
-  void set_sim_sink(std::function<void(Message)> sink);
+  /// The quantum plane's view of this transport, registered once per run
+  /// by the sim client (core/sim_dist.hpp).
+  struct SimHooks {
+    /// Receives every delivered message whose channel is >=
+    /// ChannelKind::kSimCtl (on receiver threads, or inline for
+    /// self-sends). Such messages never reach rank mailboxes; with no sink
+    /// registered they are dropped.
+    std::function<void(Message)> sink;
+    /// Runs right before any cross-process classical send leaves this
+    /// process, so the op stream (which bypasses hub and mesh FIFO toward
+    /// the destination) is sequenced ahead of the message.
+    std::function<void()> fence;
+    /// Runs (with the reason) when the run dies — locally via shutdown()
+    /// or remotely via an abort broadcast — so blocked sim waiters wake
+    /// with a typed error instead of hanging.
+    std::function<void(const std::string&)> fail;
+  };
 
-  /// Registers a hook invoked right before any cross-process classical
-  /// send leaves this process, restoring ops-before-message order for the
-  /// distributed backend (its op stream bypasses both hub and mesh FIFO
-  /// toward the destination). Pass nullptr to unregister.
-  void set_sim_fence(std::function<void()> fence);
-
-  /// Registers a hook invoked (with the reason) when the run dies —
-  /// locally via shutdown() or remotely via an abort broadcast —
-  /// so blocked sim waiters wake with a typed error instead of hanging.
-  void set_sim_fail(std::function<void(const std::string&)> on_fail);
+  /// Replaces the hooks; pass {} to unregister. Returns only once every
+  /// hook call already in flight has finished, so the caller may free
+  /// whatever the old hooks touch. Must not be called from inside a hook.
+  void set_sim_hooks(SimHooks hooks);
 
   /// Test hooks (no-ops when p2p is off): see PeerMesh.
   void break_peer_listener_for_test();
@@ -541,8 +549,10 @@ class SocketTransport final : public Transport {
   }
   void send_to_rank(int dest_world_rank, int owner_proc, Message msg);
   void deliver_local(int dest_world_rank, Message msg);
-  void run_sim_fence();
-  void run_sim_fail(const std::string& reason);
+  /// Calls `fn(hooks)` with the registered hooks, counted as in flight so
+  /// set_sim_hooks() can wait it out.
+  template <class Fn>
+  void with_sim_hooks(Fn&& fn);
   void shutdown_local();
 
   HubClient* hub_;
@@ -552,14 +562,13 @@ class SocketTransport final : public Transport {
   std::unique_ptr<PeerMesh> mesh_;  ///< null when p2p is off
   std::vector<std::unique_ptr<RankChannel>> channels_;
 
-  /// Guards the three sim hooks (set once per run by the distributed
-  /// backend, read on sender and receiver threads). Leaf lock: hooks are
-  /// copied out under it and invoked with no lock held.
+  /// Guards the sim hooks (set once per run by the sim client, read on
+  /// sender and receiver threads). Leaf lock: hooks are invoked with no
+  /// lock held, and set_sim_hooks() waits on the in-flight count instead.
   qmpi::Mutex sim_hooks_mu_{"SocketTransport::sim_hooks_mu"};
-  std::function<void(Message)> sim_sink_ QMPI_GUARDED_BY(sim_hooks_mu_);
-  std::function<void()> sim_fence_ QMPI_GUARDED_BY(sim_hooks_mu_);
-  std::function<void(const std::string&)> sim_fail_
-      QMPI_GUARDED_BY(sim_hooks_mu_);
+  qmpi::CondVar sim_hooks_idle_;
+  std::shared_ptr<const SimHooks> sim_hooks_ QMPI_GUARDED_BY(sim_hooks_mu_);
+  int sim_hook_calls_ QMPI_GUARDED_BY(sim_hooks_mu_) = 0;
 };
 
 }  // namespace qmpi::classical

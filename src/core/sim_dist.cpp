@@ -274,20 +274,17 @@ DistSimClient::DistSimClient(classical::SocketTransport& transport,
   }
   backend_.set_num_threads(sim_threads);
   executor_ = std::thread([this] { exec_loop(); });
-  transport_->set_sim_sink(
-      [this](Message m) { on_sim_message(std::move(m)); });
-  transport_->set_sim_fence([this] { fence(); });
-  transport_->set_sim_fail(
-      [this](const std::string& reason) { fail_run(reason); });
+  transport_->set_sim_hooks(
+      {[this](Message m) { on_sim_message(std::move(m)); },
+       [this] { fence(); },
+       [this](const std::string& reason) { fail_run(reason); }});
 }
 
 DistSimClient::~DistSimClient() {
-  // Unhook first so no new deliveries reach us; the transport outlives
-  // this object (the job harness's Placement member order), so racing
-  // receiver threads see a null sink and drop.
-  transport_->set_sim_sink(nullptr);
-  transport_->set_sim_fence(nullptr);
-  transport_->set_sim_fail(nullptr);
+  // Unhook first: this returns only after every delivery already inside
+  // a hook has left it, so nothing below races a receiver thread. The
+  // transport outlives this object (the job harness's Placement order).
+  transport_->set_sim_hooks({});
   {
     const qmpi::LockGuard lk(exec_mu_);
     stop_ = true;

@@ -71,7 +71,7 @@ void check(bool ok, const char* what) {
 /// the closing barrier means rank 0 cannot finish before the slowest
 /// rank).
 CollectiveTimes run_job(int nranks, bool p2p, int iters) {
-  Hub hub(nranks, 0, {});
+  Hub hub(nranks, 0);
   std::thread server([&] { hub.serve(); });
   CollectiveTimes times;
   std::vector<std::thread> procs;

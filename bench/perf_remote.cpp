@@ -5,8 +5,10 @@
 //
 //   ./build/perf_remote [options]               # in-process baseline
 //   ./build/qmpirun -n 2 ./build/perf_remote    # the interesting run:
-//                                               # every gate crosses a
-//                                               # real TCP hop to the hub
+//                                               # rank 1's gates cross a
+//                                               # real TCP hop to the
+//                                               # backend rank 0's
+//                                               # process hosts
 //
 // Options:
 //   --qubits <n>   qubits per rank (default 6)
@@ -20,8 +22,8 @@
 // rank 0 does the reporting. The figure of merit is the batched/unbatched
 // throughput ratio: unbatched, a gate-dense circuit is latency-bound (one
 // blocking round trip per gate — the overhead the QMPI runtime design
-// argues must be amortized); batched, reply-free gates stream in kSimBatch
-// frames and only synchronization points round-trip.
+// argues must be amortized); batched, reply-free gates stream in one-way
+// batch messages and only synchronization points round-trip.
 
 #include <chrono>
 #include <cmath>
@@ -50,7 +52,7 @@ struct Observation {
 
 /// One timed job: `steps` first-order TFIM Trotter steps on each rank's
 /// private register, then rank-ordered measurements of every qubit.
-/// `distributed` swaps the hub-hosted backend for the distributed state
+/// `distributed` swaps the rank-0-hosted backend for the distributed state
 /// vector (each process a replica, slabs rank-to-rank, zero hub quantum
 /// ops); under the in-process transport that falls back to sharded, so
 /// the series degenerates to ~1x there just like batching does.

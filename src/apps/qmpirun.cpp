@@ -2,11 +2,13 @@
 //
 //   qmpirun -n 4 [--port P] ./build/core_test_epr [args...]
 //
-// Starts the job hub (classical message router + the shared quantum
-// backend of paper §6), forks N copies of the program with
-// QMPI_TRANSPORT=tcp and the hub coordinates (QMPI_TCP_HOST/PORT,
-// QMPI_PROC_ID) in their environment, serves until every process exits,
-// and exits with the first nonzero child status so CI sees failures.
+// Starts the job hub (control plane and classical message relay; it hosts
+// no quantum state — rank 0's process hosts the serial or sharded backend
+// of paper §6, and the distributed backend lives in every rank process),
+// forks N copies of the program with QMPI_TRANSPORT=tcp and the hub
+// coordinates (QMPI_TCP_HOST/PORT, QMPI_PROC_ID) in their environment,
+// serves until every process exits, and exits with the first nonzero
+// child status so CI sees failures.
 //
 // Each qmpi::run(n, ...) inside the program becomes one hub-bracketed run:
 // the n ranks are split into contiguous blocks over the N processes
@@ -30,10 +32,7 @@
 #include <vector>
 
 #include "classical/socket_transport.hpp"
-#include "core/context.hpp"
-#include "core/sim_wire.hpp"
 #include "sim/backend.hpp"
-#include "sim/circuit_cache.hpp"
 
 namespace {
 
@@ -89,65 +88,11 @@ int main(int argc, char** argv) {
   }
 
   using qmpi::classical::Hub;
-  using qmpi::classical::RunConfig;
-
-  // The hub owns the one true quantum state — except in distributed mode,
-  // where the state lives as rank-resident replicas and the hub is pure
-  // control plane: it hosts no backend and counts (then rejects) any
-  // quantum op that reaches it, making "the hub moved zero amplitudes"
-  // checkable from the launcher's output.
-  std::unique_ptr<qmpi::sim::Backend> backend;
-  bool distributed_run = false;
-  std::uint64_t hub_sim_ops = 0;
-  // One compiled-cluster cache across all runs this launcher hosts
-  // (QMPI_CIRCUIT_CACHE, read through the same strict env contract the
-  // rank processes use): a repeated job replays compiled clusters from
-  // its predecessor. The cache survives backend resets by design —
-  // compilation is a pure function of circuit content, never of state.
-  std::shared_ptr<qmpi::sim::ClusterCache> circuit_cache;
-  try {
-    const std::size_t cache_entries =
-        qmpi::JobOptions::from_env().circuit_cache;
-    if (cache_entries > 0) {
-      circuit_cache =
-          std::make_shared<qmpi::sim::ClusterCache>(cache_entries);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "qmpirun: %s\n", e.what());
-    return 1;
-  }
-  Hub::Services services;
-  services.reset = [&](const RunConfig& cfg) {
-    distributed_run = static_cast<qmpi::sim::BackendKind>(cfg.backend) ==
-                      qmpi::sim::BackendKind::kDistributed;
-    if (distributed_run) {
-      backend.reset();
-      return;
-    }
-    backend = qmpi::sim::make_backend(
-        static_cast<qmpi::sim::BackendKind>(cfg.backend), cfg.seed,
-        cfg.num_shards);
-    backend->set_num_threads(cfg.sim_threads);
-    if (circuit_cache) backend->set_cluster_cache(circuit_cache);
-  };
-  services.sim = [&](std::span<const std::byte> request) {
-    if (distributed_run) {
-      ++hub_sim_ops;
-      throw qmpi::QmpiError(
-          "quantum op reached the hub in distributed mode (rank processes "
-          "host the state; this is a routing bug)");
-    }
-    if (!backend) {
-      throw qmpi::QmpiError("quantum operation before the run started");
-    }
-    return qmpi::apply_sim_request(*backend, request);
-  };
 
   const int num_procs = static_cast<int>(nprocs);
   std::unique_ptr<Hub> hub;
   try {
-    hub = std::make_unique<Hub>(num_procs, static_cast<std::uint16_t>(port),
-                                std::move(services));
+    hub = std::make_unique<Hub>(num_procs, static_cast<std::uint16_t>(port));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qmpirun: %s\n", e.what());
     return 1;
@@ -235,11 +180,14 @@ int main(int argc, char** argv) {
   }
   hub->stop();
   server.join();
-  if (distributed_run) {
+  if (static_cast<qmpi::sim::BackendKind>(hub->last_run_config().backend) ==
+      qmpi::sim::BackendKind::kDistributed) {
     // The acceptance line for the distributed data plane: with all
-    // amplitude traffic on rank-to-rank links, this stays at 0.
+    // amplitude traffic on rank-to-rank links, this stays at 0. The hub
+    // counts (and rejects) every quantum-op frame that reaches it.
     std::fprintf(stderr, "qmpirun: hub quantum ops: %llu (distributed)\n",
-                 static_cast<unsigned long long>(hub_sim_ops));
+                 static_cast<unsigned long long>(
+                     hub->retired_quantum_frames()));
   }
   if (exit_code != 0) {
     std::fprintf(stderr, "qmpirun: job failed with status %d\n", exit_code);

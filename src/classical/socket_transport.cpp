@@ -22,9 +22,11 @@ namespace {
 constexpr std::uint32_t kHelloMagic = 0x51'4d'50'49;  // "QMPI"
 // v2: kRunBegin advertises a peer-listener address, kRunReady returns the
 // brokered address table, and the kPeerHello/kPeerPost/kSimFence frames
-// exist. The HELLO version check keeps mixed-version jobs from silently
-// misparsing the new barrier bodies.
-constexpr std::uint16_t kWireVersion = 2;
+// exist. v3: the hub's quantum frames are retired; quantum ops ride the
+// sim channels. The HELLO version check keeps mixed-version jobs from
+// silently misparsing the barrier bodies or shipping ops to a hub that
+// no longer runs them.
+constexpr std::uint16_t kWireVersion = 3;
 
 std::string errno_text() { return std::strerror(errno); }
 
@@ -289,9 +291,7 @@ int rank_owner(int num_ranks, int nprocs, int world_rank) {
 
 // ------------------------------------------------------------------ hub ---
 
-Hub::Hub(int nprocs, std::uint16_t port, Services services)
-    : nprocs_(nprocs), services_(std::move(services)) {
-  sim_failed_.assign(static_cast<std::size_t>(nprocs), std::string());
+Hub::Hub(int nprocs, std::uint16_t port) : nprocs_(nprocs) {
   conns_.reserve(static_cast<std::size_t>(nprocs));
   for (int p = 0; p < nprocs; ++p) conns_.push_back(std::make_unique<Conn>());
 
@@ -402,6 +402,16 @@ int Hub::connected_count() {
   return connected_;
 }
 
+RunConfig Hub::last_run_config() {
+  const qmpi::LockGuard lock(mu_);
+  return active_cfg_;
+}
+
+std::uint64_t Hub::retired_quantum_frames() {
+  const qmpi::LockGuard lock(mu_);
+  return retired_quantum_frames_;
+}
+
 void Hub::stop() {
   {
     const qmpi::LockGuard lock(mu_);
@@ -477,7 +487,6 @@ void Hub::abort_run_locked(int origin_proc, const std::string& reason) {
   aborted_epoch_ = epoch;
   if (begin_phase) hub_epoch_ = epoch;
   run_active_ = false;
-  for (auto& failed : sim_failed_) failed.clear();
   pending_cfg_.reset();
   begin_count_ = 0;
   begin_req_ids_.clear();
@@ -531,84 +540,18 @@ void Hub::handle_frame(int proc, Frame frame) {
       return;
     }
 
-    case FrameType::kSimBatch: {
-      // One-way pipelined quantum ops: epoch-tagged like kPost (a batch
-      // from an aborted run must never execute against the next run's
-      // backend), executed synchronously on this reader thread so
-      // per-connection FIFO makes "batch frame before classical frame"
-      // mean "ops applied before the message is routed". No reply on
-      // success; a failure travels back as a req-id-0 kSimError, which
-      // the client surfaces at its next synchronization point.
-      WireReader r(frame.body);
-      const std::uint64_t epoch = r.u64();
-      {
-        const qmpi::LockGuard lock(mu_);
-        if (!run_active_ || epoch != hub_epoch_) return;  // stale batch
-        // This process's op stream already broke: later batches may be
-        // in flight ahead of the error notice, and executing them would
-        // apply ops "after" the failure. Drop them.
-        if (!sim_failed_[static_cast<std::size_t>(proc)].empty()) return;
-      }
-      const auto request = r.rest();
-      try {
-        const qmpi::LockGuard sim_lock(sim_mu_);
-        if (!services_.sim) {
-          throw QmpiError("hub has no quantum service configured");
-        }
-        (void)services_.sim(request);
-      } catch (const std::exception& e) {
-        {
-          const qmpi::LockGuard lock(mu_);
-          auto& reason = sim_failed_[static_cast<std::size_t>(proc)];
-          if (reason.empty()) reason = e.what();
-        }
-        WireWriter err;
-        err.u64(0);  // req id 0: asynchronous batch error
-        err.str(e.what());
-        send_to(proc, FrameType::kSimError, err.data());
-      }
-      return;
-    }
-
-    case FrameType::kSim: {
-      WireReader r(frame.body);
-      const std::uint64_t req_id = r.u64();
-      const auto request = r.rest();
-      WireWriter reply;
-      reply.u64(req_id);
-      {
-        // A request behind a failed batch from the same process must not
-        // observe the broken state; answer it with the root cause (this
-        // also makes the deferred error deterministic: even if the
-        // req-id-0 notice races, the next round trip reports it).
-        const qmpi::LockGuard lock(mu_);
-        const auto& reason = sim_failed_[static_cast<std::size_t>(proc)];
-        if (!reason.empty()) {
-          reply.str(reason);
-          send_to(proc, FrameType::kSimError, reply.data());
-          return;
-        }
-      }
-      FrameType reply_type = FrameType::kSimResult;
-      try {
-        std::vector<std::byte> result;
-        {
-          // The sim mutex is the quantum serialization point: ops from all
-          // ranks execute one at a time, exactly like the in-process
-          // SimServer monitor (SimServer::mutex). It is separate from mu_
-          // so an O(2^n) sweep never stalls classical routing.
-          const qmpi::LockGuard sim_lock(sim_mu_);
-          if (!services_.sim) {
-            throw QmpiError("hub has no quantum service configured");
-          }
-          result = services_.sim(request);
-        }
-        reply.bytes(result);
-      } catch (const std::exception& e) {
-        reply_type = FrameType::kSimError;
-        reply.str(e.what());
-      }
-      send_to(proc, reply_type, reply.data());
+    case FrameType::kSim:
+    case FrameType::kSimBatch:
+    case FrameType::kSimFence: {
+      // The retired quantum plane of wire v2. A process that still ships
+      // ops here has lost them, so the run cannot be correct: count the
+      // frame (qmpirun reports the total) and fail the run everywhere.
+      const qmpi::LockGuard lock(mu_);
+      ++retired_quantum_frames_;
+      abort_run_locked(-1, "rank process " + std::to_string(proc) +
+                               " sent a quantum op to the hub (frame type " +
+                               std::to_string(static_cast<int>(frame.type)) +
+                               "); the hub hosts no quantum ops");
       return;
     }
 
@@ -624,20 +567,6 @@ void Hub::handle_frame(int proc, Frame frame) {
       reply.u64(req_id);
       reply.u64(ctx);
       send_to(proc, FrameType::kCtxId, reply.data());
-      return;
-    }
-
-    case FrameType::kSimFence: {
-      // Pure ack. kSimBatch frames execute synchronously on this reader
-      // thread, so by the time this frame is handled every batch written
-      // before it has already run (or been recorded as failed — the
-      // req-id-0 kSimError precedes this ack on the FIFO connection, so
-      // the client sees the failure before the fence completes).
-      WireReader r(frame.body);
-      const std::uint64_t req_id = r.u64();
-      WireWriter reply;
-      reply.u64(req_id);
-      send_to(proc, FrameType::kSimFenceAck, reply.data());
       return;
     }
 
@@ -706,26 +635,13 @@ void Hub::handle_frame(int proc, Frame frame) {
       begin_addrs_[static_cast<std::size_t>(proc)] = std::move(addr);
       if (++begin_count_ < nprocs_) return;
 
-      // Barrier complete: reset the backend, then go live before any
-      // RUN_READY leaves, so early kPost traffic is routable. A reset
-      // failure (e.g. a shard count the backend rejects) fails this run
-      // for every process instead of killing the hub.
-      if (services_.reset) {
-        try {
-          services_.reset(*pending_cfg_);
-        } catch (const std::exception& e) {
-          abort_run_locked(-1, std::string("cannot start run, backend "
-                                           "reset failed: ") +
-                                   e.what());
-          return;
-        }
-      }
+      // Barrier complete: go live before any RUN_READY leaves, so early
+      // kPost traffic is routable.
       active_cfg_ = *pending_cfg_;
       pending_cfg_.reset();
       begin_count_ = 0;
       hub_epoch_ = epoch;
       next_context_ = 1;  // fresh Universe semantics per run
-      for (auto& failed : sim_failed_) failed.clear();  // fresh backend too
       run_active_ = true;
       for (int p = 0; p < nprocs_; ++p) {
         WireWriter ready;
@@ -931,9 +847,9 @@ void HubClient::receiver_loop() {
           // run's epoch and must never reach the next run's mailboxes.
           if (epoch != epoch_ || run_dead_ || !deliver_) break;
           auto [dest, msg] = decode_routed_after_epoch(r);
-          // Invoke the sink OUTSIDE mu_: in distributed mode the sink is
-          // the sim plane, and the root's sequencer immediately
-          // rebroadcasts through post_remote(), which takes mu_ again.
+          // Invoke the sink OUTSIDE mu_: the sink may be the sim plane,
+          // whose root sequencer immediately posts (rebroadcasts or
+          // replies) through post_remote(), which takes mu_ again.
           // Staying on this thread keeps per-connection FIFO intact.
           const auto deliver = deliver_;
           delivering_ = true;
@@ -952,20 +868,9 @@ void HubClient::receiver_loop() {
         }
         case FrameType::kRunReady:
         case FrameType::kCtxId:
-        case FrameType::kSimResult:
-        case FrameType::kSimError:
-        case FrameType::kSimFenceAck:
         case FrameType::kRunEndAck: {
           WireReader r(frame.body);
           const std::uint64_t req_id = r.u64();
-          if (frame.type == FrameType::kSimError && req_id == 0) {
-            // Deferred failure of a one-way sim_post batch. First error
-            // wins (later ones are downstream of the same broken state);
-            // it is rethrown from the next sim_post/sim_call.
-            const std::string reason = r.str();
-            if (sim_post_error_.empty()) sim_post_error_ = reason;
-            break;
-          }
           if (req_id != waiting_req_id_) break;  // stale reply; drop
           if (frame.type == FrameType::kRunEndAck) epoch_done_ = true;
           reply_ = std::move(frame);
@@ -1009,24 +914,6 @@ void HubClient::check_alive_locked() {
   }
 }
 
-void HubClient::throw_sim_post_error_locked() {
-  if (sim_post_error_.empty()) return;
-  std::string reason;
-  reason.swap(sim_post_error_);
-  throw RemoteSimError(reason);
-}
-
-void HubClient::run_sim_flush() {
-  std::function<void()> flush;
-  {
-    const qmpi::LockGuard lock(mu_);
-    flush = sim_flush_;
-  }
-  // Invoked without any HubClient lock held: the hook calls back into
-  // sim_post, which takes mu_ and wr_mu_ itself.
-  if (flush) flush();
-}
-
 std::vector<std::byte> HubClient::request(FrameType type, FrameType expect,
                                           std::span<const std::byte> body) {
   const qmpi::LockGuard req_lock(req_mu_);
@@ -1051,11 +938,6 @@ std::vector<std::byte> HubClient::request(FrameType type, FrameType expect,
   if (!reply_.has_value()) throw ShutdownError();
   Frame reply = std::move(*reply_);
   reply_.reset();
-  if (reply.type == FrameType::kSimError) {
-    WireReader r(reply.body);
-    r.u64();  // req id
-    throw RemoteSimError(r.str());
-  }
   if (reply.type != expect) {
     throw QmpiError("hub protocol error: expected frame type " +
                     std::to_string(static_cast<int>(expect)) + ", got " +
@@ -1080,9 +962,6 @@ void HubClient::begin_run(const RunConfig& cfg) {
     epoch_done_ = false;
     run_dead_ = false;
     dead_reason_.clear();
-    // A deferred batch error from an aborted run must not poison this
-    // one: the hub's backend is reset at the begin barrier.
-    sim_post_error_.clear();
     // A stale table must not outlive the run that brokered it.
     peers_.clear();
     endpoint = endpoint_;
@@ -1138,31 +1017,8 @@ bool HubClient::run_epoch_live(std::uint64_t epoch) {
   return epoch == epoch_ && !run_dead_ && !fatal_;
 }
 
-void HubClient::sim_fence() {
-  // Put any buffered batches on the wire first, so "seq" covers them.
-  run_sim_flush();
-  const std::uint64_t target = batch_seq_.load(std::memory_order_acquire);
-  if (target == batch_synced_.load(std::memory_order_acquire)) return;
-  (void)request(FrameType::kSimFence, FrameType::kSimFenceAck, {});
-  {
-    // The FIFO hub->client stream delivered any req-id-0 batch error
-    // before the fence ack; surface it now, exactly like sim_call does.
-    const qmpi::LockGuard lock(mu_);
-    throw_sim_post_error_locked();
-  }
-  // Monotonic max: a concurrent fence may already have advanced it.
-  std::uint64_t cur = batch_synced_.load(std::memory_order_relaxed);
-  while (cur < target &&
-         !batch_synced_.compare_exchange_weak(cur, target,
-                                              std::memory_order_release)) {
-  }
-}
-
 std::vector<std::uint64_t> HubClient::end_run(
     std::span<const std::uint64_t> totals) {
-  // Flush-before-barrier: buffered quantum ops must be on the wire (and
-  // thus executed, by connection FIFO) before the run can complete.
-  run_sim_flush();
   WireWriter w;
   {
     const qmpi::LockGuard lock(mu_);
@@ -1216,50 +1072,7 @@ std::uint64_t HubClient::allocate_context() {
   return r.u64();
 }
 
-std::vector<std::byte> HubClient::sim_call(
-    std::span<const std::byte> request_body) {
-  {
-    // An already-known batch failure is the root cause of whatever this
-    // call would observe; throw it instead of issuing the request.
-    const qmpi::LockGuard lock(mu_);
-    throw_sim_post_error_locked();
-  }
-  auto reply = request(FrameType::kSim, FrameType::kSimResult, request_body);
-  {
-    // Both directions of the connection are FIFO, so an error frame for
-    // any batch that executed before this request has been processed by
-    // the receiver before our reply woke us: if the flag is set now, the
-    // reply was computed on post-failure state and must not be returned.
-    const qmpi::LockGuard lock(mu_);
-    throw_sim_post_error_locked();
-  }
-  return reply;
-}
-
-void HubClient::sim_post(std::span<const std::byte> request) {
-  std::uint64_t epoch = 0;
-  {
-    const qmpi::LockGuard lock(mu_);
-    check_alive_locked();
-    throw_sim_post_error_locked();
-    epoch = epoch_;
-  }
-  WireWriter w;
-  w.u64(epoch);
-  w.bytes(request);
-  const qmpi::LockGuard wlock(wr_mu_);
-  // Number the batch under the write lock, before it hits the wire: wire
-  // order and seq order then agree, which is what sim_fence()'s "ack
-  // covers every batch <= target" argument rests on.
-  batch_seq_.fetch_add(1, std::memory_order_release);
-  write_frame(fd_, FrameType::kSimBatch, w.data());
-}
-
 void HubClient::post_remote(int dest_world_rank, const Message& msg) {
-  // Flush buffered quantum ops onto the connection first: FIFO then
-  // guarantees the receiving rank can never observe this message before
-  // the hub has executed every op that preceded it on this process.
-  run_sim_flush();
   std::uint64_t epoch = 0;
   {
     const qmpi::LockGuard lock(mu_);
@@ -1280,11 +1093,6 @@ void HubClient::set_sinks(
   // A delivery already handed to the old sink may still be running on the
   // receiver thread; the sink's owner is about to be freed.
   while (delivering_) cv_.wait(lock);
-}
-
-void HubClient::set_sim_flush(std::function<void()> flush) {
-  const qmpi::LockGuard lock(mu_);
-  sim_flush_ = std::move(flush);
 }
 
 std::string HubClient::dead_reason() {
@@ -1554,12 +1362,7 @@ SocketTransport::SocketTransport(HubClient& hub, int num_ranks, bool p2p,
       [this](int dest, Message msg) {
         deliver_local(dest, std::move(msg));
       },
-      [this](const std::string& reason) {
-        with_sim_hooks([&](const SimHooks& h) {
-          if (h.fail) h.fail(reason);
-        });
-        shutdown_local();
-      });
+      [this](const std::string& reason) { shutdown_local(reason); });
   if (p2p && hub.nprocs() > 1) {
     // The mesh delivers through the same local sink as hub deliveries
     // (epoch checking already done by the mesh reader).
@@ -1600,18 +1403,19 @@ void SocketTransport::send_to_rank(int dest_world_rank, int owner_proc,
     return;
   }
   // Cross-process classical sends must not outrun the quantum ops that
-  // precede them in program order. The distributed backend registers a
-  // fence here that sequences its pending ops through the root before
-  // the message leaves; same-process deliveries above need no fence
-  // because they share the origin's FIFO control stream.
+  // precede them in program order. The sim client registers a fence here
+  // that sequences its pending ops through the root before the message
+  // leaves; same-process deliveries above need no fence because they
+  // share the origin's FIFO control stream.
   with_sim_hooks([](const SimHooks& h) {
     if (h.fence) h.fence();
   });
+  send_remote(owner_proc, dest_world_rank, msg);
+}
+
+void SocketTransport::send_remote(int owner_proc, int dest_world_rank,
+                                  const Message& msg) {
   if (mesh_ != nullptr) {
-    // Restore the ops-before-message order hub routing gives for free:
-    // any buffered quantum ops must be known executed before a message
-    // that bypasses the hub can announce their effects to the receiver.
-    hub_->sim_fence();
     try {
       if (mesh_->try_send(owner_proc, dest_world_rank, msg)) return;
     } catch (const PeerLinkError& e) {
@@ -1646,7 +1450,10 @@ std::uint64_t SocketTransport::allocate_context() {
   return hub_->allocate_context();
 }
 
-void SocketTransport::shutdown_local() {
+void SocketTransport::shutdown_local(const std::string& reason) {
+  with_sim_hooks([&](const SimHooks& h) {
+    if (h.fail) h.fail(reason);
+  });
   for (auto& box : boxes_) box->shutdown();
 }
 
@@ -1656,16 +1463,13 @@ void SocketTransport::shutdown(const std::string& reason) {
   // into abort_run() ahead of this reason, and first-abort-wins would
   // then pin the job-level message to the symptom instead of the cause.
   hub_->abort_run(reason);
-  with_sim_hooks([&](const SimHooks& h) {
-    if (h.fail) h.fail(reason);
-  });
-  shutdown_local();
+  shutdown_local(reason);
 }
 
 void SocketTransport::deliver_local(int dest, Message msg) {
   if (msg.channel >= ChannelKind::kSimCtl) {
     // Sim-plane traffic never reaches a mailbox: it is addressed to the
-    // process, not a rank, and the distributed backend consumes it on
+    // process, not a rank, and the sim client consumes it on
     // whatever thread delivered it.
     with_sim_hooks([&](const SimHooks& h) {
       if (h.sink) h.sink(std::move(msg));
@@ -1688,16 +1492,8 @@ void SocketTransport::post_sim(int dest_world_rank, Message msg) {
   }
   // Never run the fence hook here: sim-plane posts ARE the fenced traffic,
   // and fencing would recurse.
-  const int owner = rank_owner(num_ranks_, hub_->nprocs(), dest_world_rank);
-  if (mesh_ != nullptr) {
-    try {
-      if (mesh_->try_send(owner, dest_world_rank, msg)) return;
-    } catch (const PeerLinkError& e) {
-      shutdown(e.what());
-      throw;
-    }
-  }
-  hub_->post_remote(dest_world_rank, msg);
+  send_remote(rank_owner(num_ranks_, hub_->nprocs(), dest_world_rank),
+              dest_world_rank, msg);
 }
 
 }  // namespace qmpi::classical

@@ -5,7 +5,6 @@
 /// and the Transport implementation. See docs/ARCHITECTURE.md §3.
 
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -32,15 +31,17 @@ namespace qmpi::classical {
 ///
 ///   1. Job control: RUN_BEGIN/RUN_READY and RUN_END/RUN_END_ACK barriers
 ///      bracket every qmpi::run() call so all processes agree on the run
-///      configuration, the backend is reset exactly once per run, and
-///      resource totals are world-summed; kAbort propagates any rank
-///      failure so no process deadlocks on a dead peer. The RUN_BEGIN
-///      barrier doubles as the p2p broker: each process advertises its
-///      peer-listener address in its kRunBegin frame and receives the
-///      full per-process address table back in the kRunReady reply.
-///   2. Quantum forwarding: kSim frames carry opaque simulator commands to
-///      the hub's backend — the paper's §6 design ("all ranks forward
-///      quantum operations to rank 0") made literal across processes.
+///      configuration and resource totals are world-summed; kAbort
+///      propagates any rank failure so no process deadlocks on a dead
+///      peer. The RUN_BEGIN barrier doubles as the p2p broker: each
+///      process advertises its peer-listener address in its kRunBegin
+///      frame and receives the full per-process address table back in the
+///      kRunReady reply.
+///   2. No quantum ops: they travel on the sim channels to rank 0's
+///      process (core/sim_dist.hpp), which hosts the serial or sharded
+///      backend — the paper's §6 design ("all ranks forward quantum
+///      operations to rank 0"). The hub's own quantum frame types of wire
+///      v2 are retired: one arriving is counted and aborts the run.
 ///   3. Classical routing fallback: a kPost frame names a destination
 ///      world rank; the hub forwards it as kDeliver to the process
 ///      hosting that rank. Per-connection FIFO plus single-threaded
@@ -54,8 +55,8 @@ namespace qmpi::classical {
 /// direct or hub — is fixed at first use and never changes mid-run, so
 /// MPI non-overtaking order is preserved per pair; an unreachable peer
 /// (or one that advertised no listener) permanently falls back to hub
-/// routing for the run. Quantum ops, barriers, aborts and context
-/// allocation always stay on the hub connection.
+/// routing for the run. Barriers, aborts and context allocation always
+/// stay on the hub connection.
 ///
 /// Rank placement: the requested `num_ranks` are split into contiguous
 /// blocks over the `nprocs` connected processes (rank_block()); a process
@@ -117,24 +118,16 @@ int dial_tcp(const std::string& host, std::uint16_t port, int timeout_ms);
 
 // ---------------------------------------------------------------- hub ---
 
-/// The routing/quantum server at the center of a multi-process job.
-/// Binds and listens in the constructor (so clients may connect as soon as
-/// the launcher forks them); serve() accepts `nprocs` connections and runs
-/// until every process has disconnected.
+/// The control plane and classical relay at the center of a multi-process
+/// job. It hosts no quantum ops. Binds and listens in the constructor (so
+/// clients may connect as soon as the launcher forks them); serve()
+/// accepts `nprocs` connections and runs until every process has
+/// disconnected.
 class Hub {
  public:
-  struct Services {
-    /// Executes one opaque quantum request (sim_wire.hpp encodes these) and
-    /// returns the reply body; exceptions are marshalled to the caller as
-    /// remote simulator errors. Null: quantum ops are rejected.
-    std::function<std::vector<std::byte>(std::span<const std::byte>)> sim;
-    /// Resets backend state for a new run with the given configuration.
-    std::function<void(const RunConfig&)> reset;
-  };
-
   /// Throws QmpiError when the port cannot be bound. Port 0 picks an
   /// ephemeral port; read it back with port().
-  Hub(int nprocs, std::uint16_t port, Services services);
+  Hub(int nprocs, std::uint16_t port);
   ~Hub();
 
   Hub(const Hub&) = delete;
@@ -155,6 +148,14 @@ class Hub {
 
   /// Force-closes the listener and all connections; serve() returns.
   void stop();
+
+  /// The configuration of the last run that went live (default-constructed
+  /// before the first).
+  RunConfig last_run_config();
+
+  /// How many frames of the retired quantum-op types (kSim, kSimBatch,
+  /// kSimFence) reached the hub. Each one aborted the run it arrived in.
+  std::uint64_t retired_quantum_frames();
 
  private:
   struct Conn {
@@ -178,14 +179,9 @@ class Hub {
   void on_disconnect(int proc);
 
   int nprocs_;
-  Services services_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
 
-  /// Serializes quantum operations only (kept separate from mu_ so a long
-  /// state-vector sweep never blocks classical routing). Leaf lock: no
-  /// other lock is ever taken while holding it.
-  qmpi::Mutex sim_mu_{"Hub::sim_mu"};
   qmpi::Mutex mu_{"Hub::mu"};
   qmpi::CondVar done_cv_;
   /// Sized once in the constructor, elements never move; each Conn
@@ -205,13 +201,7 @@ class Hub {
   /// Processes that left the job for good.
   int departed_ QMPI_GUARDED_BY(mu_) = 0;
   RunConfig active_cfg_ QMPI_GUARDED_BY(mu_);
-  /// Per-process broken-op-stream marker: once a batched op from process
-  /// p fails, later sim frames from p in the same run are refused with
-  /// this reason (batches dropped, requests answered with kSimError), so
-  /// "ops after the failing one never execute" holds across batch
-  /// boundaries exactly as the RPC path's throw stops the op stream.
-  /// Cleared when a run goes live or aborts.
-  std::vector<std::string> sim_failed_ QMPI_GUARDED_BY(mu_);
+  std::uint64_t retired_quantum_frames_ QMPI_GUARDED_BY(mu_) = 0;
   std::optional<RunConfig> pending_cfg_ QMPI_GUARDED_BY(mu_);
   int begin_count_ QMPI_GUARDED_BY(mu_) = 0;
   std::vector<std::uint64_t> begin_req_ids_ QMPI_GUARDED_BY(mu_);
@@ -246,9 +236,9 @@ class HubClient {
   int proc_id() const { return proc_id_; }
 
   /// RUN_BEGIN barrier: blocks until every process has begun this run with
-  /// an identical config and the hub has reset the backend. Advertises
-  /// this process's peer endpoint (set_peer_endpoint) and stores the
-  /// brokered address table the hub returns (peer_addresses).
+  /// an identical config and the run is live. Advertises this process's
+  /// peer endpoint (set_peer_endpoint) and stores the brokered address
+  /// table the hub returns (peer_addresses).
   void begin_run(const RunConfig& cfg);
 
   /// Registers the peer-listener address advertised by the next
@@ -272,15 +262,6 @@ class HubClient {
   /// frame for which this is false, mirroring the kDeliver check.
   bool run_epoch_live(std::uint64_t epoch);
 
-  /// Quantum-op fence: flushes any buffered one-way op batches (see
-  /// set_sim_flush) and, if batches went out since the last fence,
-  /// round-trips the hub so they are known executed. A direct peer send
-  /// must fence first: on the hub path, connection FIFO guarantees the
-  /// receiver observes prior quantum ops as executed, and the fence
-  /// restores exactly that guarantee when the classical message bypasses
-  /// the hub. No-op (two atomic loads) when nothing is pending.
-  void sim_fence();
-
   /// RUN_END barrier: contributes this process's resource totals, returns
   /// the world-wide element-wise sum (identical in every process). Throws
   /// QmpiError naming the cause when the run was aborted (peer death,
@@ -294,32 +275,7 @@ class HubClient {
   /// Globally fresh communicator context id (hub-allocated).
   std::uint64_t allocate_context();
 
-  /// Round-trips one opaque quantum request to the hub backend. Throws
-  /// RemoteSimError when the remote simulator rejected the op — or when an
-  /// earlier sim_post()ed batch failed (the deferred error is surfaced at
-  /// the next round trip, before and after which it is checked, so a
-  /// reply computed on post-failure state is never returned). Throws
-  /// QmpiError when the transport failed.
-  std::vector<std::byte> sim_call(std::span<const std::byte> request);
-
-  /// Ships one opaque quantum request to the hub backend as a one-way,
-  /// epoch-tagged kSimBatch frame: no req-id correlation, no reply, no
-  /// blocking. The hub executes it in per-connection FIFO order (i.e.
-  /// before any classical frame written after it); a failure comes back
-  /// asynchronously as a req-id-0 kSimError and is rethrown as
-  /// RemoteSimError from the next sim_post/sim_call on this client.
-  void sim_post(std::span<const std::byte> request);
-
-  /// Registers a hook invoked right before a kPost or kRunEnd frame is
-  /// written, so a quantum-op pipeline can drain its buffer onto the
-  /// connection first — per-connection FIFO then guarantees every peer
-  /// that receives the classical message observes those ops as already
-  /// executed. Pass nullptr to unregister. The hook may call sim_post()
-  /// but must not post classical messages (it would recurse).
-  void set_sim_flush(std::function<void()> flush);
-
   /// Posts a classical message toward `dest_world_rank` (one-way, eager).
-  /// Invokes the sim-flush hook first (see set_sim_flush).
   void post_remote(int dest_world_rank, const Message& msg);
 
   /// Registers the delivery sink for incoming kDeliver frames and the
@@ -340,8 +296,6 @@ class HubClient {
   std::vector<std::byte> request(FrameType type, FrameType expect,
                                  std::span<const std::byte> body);
   void check_alive_locked() QMPI_REQUIRES(mu_);
-  void throw_sim_post_error_locked() QMPI_REQUIRES(mu_);
-  void run_sim_flush();
 
   int fd_ = -1;
   int proc_id_ = 0;
@@ -366,31 +320,14 @@ class HubClient {
   /// Connection gone for good.
   bool fatal_ QMPI_GUARDED_BY(mu_) = false;
   std::string dead_reason_ QMPI_GUARDED_BY(mu_);
-  /// Deferred failure of a one-way sim batch.
-  std::string sim_post_error_ QMPI_GUARDED_BY(mu_);
   std::function<void(int, Message)> deliver_ QMPI_GUARDED_BY(mu_);
   /// The receiver thread is inside deliver_ (invoked without mu_).
   bool delivering_ QMPI_GUARDED_BY(mu_) = false;
   std::function<void(const std::string&)> on_abort_ QMPI_GUARDED_BY(mu_);
-  std::function<void()> sim_flush_ QMPI_GUARDED_BY(mu_);
   /// Advertised by the next begin_run.
   PeerAddr endpoint_ QMPI_GUARDED_BY(mu_);
   /// Brokered table from the last begin_run.
   std::vector<PeerAddr> peers_ QMPI_GUARDED_BY(mu_);
-  /// One-way batches written (seq) vs. known executed by the hub
-  /// (synced); seq is incremented under wr_mu_ immediately before each
-  /// kSimBatch write so wire order and numbering agree, which is what
-  /// lets sim_fence() trust "ack received => every batch <= target ran".
-  std::atomic<std::uint64_t> batch_seq_{0};
-  std::atomic<std::uint64_t> batch_synced_{0};
-};
-
-/// Remote simulator rejected an operation (the hub-side Backend threw).
-/// The core layer rethrows this as sim::SimulatorError so error handling
-/// is identical in-process and across processes.
-class RemoteSimError : public TransportError {
- public:
-  explicit RemoteSimError(const std::string& what) : TransportError(what) {}
 };
 
 // ----------------------------------------------------------- peer mesh ---
@@ -548,12 +485,15 @@ class SocketTransport final : public Transport {
            world_rank < local_.first + local_.count;
   }
   void send_to_rank(int dest_world_rank, int owner_proc, Message msg);
+  /// Mesh link to `owner_proc` when it has one, else the hub.
+  void send_remote(int owner_proc, int dest_world_rank, const Message& msg);
   void deliver_local(int dest_world_rank, Message msg);
   /// Calls `fn(hooks)` with the registered hooks, counted as in flight so
   /// set_sim_hooks() can wait it out.
   template <class Fn>
   void with_sim_hooks(Fn&& fn);
-  void shutdown_local();
+  /// Wakes local sim waiters (fail hook) and blocked ranks.
+  void shutdown_local(const std::string& reason);
 
   HubClient* hub_;
   int num_ranks_;

@@ -128,35 +128,33 @@ class WireReader {
 
 /// Frame types of the hub protocol (see socket_transport.hpp for the
 /// conversation structure). The numeric values are part of the wire format;
-/// append only.
+/// append only. Retired values stay reserved and are never reused.
 enum class FrameType : std::uint8_t {
   kHello = 1,      ///< client->hub: magic, version, proc id
   kHelloAck = 2,   ///< hub->client: process count
   kRunBegin = 3,   ///< client->hub: req id, epoch, run config
-  kRunReady = 4,   ///< hub->client: req id (run is live, backend reset)
+  kRunReady = 4,   ///< hub->client: req id, brokered peer address table
   kPost = 5,       ///< client->hub: routed classical message
   kDeliver = 6,    ///< hub->client: classical message for a local rank
   kCtxAlloc = 7,   ///< client->hub: req id (fresh communicator context)
   kCtxId = 8,      ///< hub->client: req id, context id
-  kSim = 9,        ///< client->hub: req id, opaque quantum op request
-  kSimResult = 10, ///< hub->client: req id, opaque result
-  kSimError = 11,  ///< hub->client: req id, remote simulator error string
+  // 9-11, 15, 18 and 19: the hub's quantum plane, retired in wire v3
+  // (quantum ops ride the sim channels to rank 0's process). The hub
+  // counts a client->hub frame of these types and aborts the run.
+  kSim = 9,        ///< retired
+  kSimResult = 10, ///< retired
+  kSimError = 11,  ///< retired
   kRunEnd = 12,    ///< client->hub: req id, epoch, resource totals
   kRunEndAck = 13, ///< hub->client: req id, world-summed totals
   kAbort = 14,     ///< either way: epoch, human-readable reason
-  kSimBatch = 15,  ///< client->hub: epoch, opaque batched quantum ops
-                   ///< (one-way: no req id, no reply on success; a
-                   ///< failure comes back as kSimError with req id 0)
+  kSimBatch = 15,  ///< retired
   // Peer data-plane frames (direct rank-process <-> rank-process links
   // brokered by the hub at the run-begin barrier; never seen by the hub).
   kPeerHello = 16, ///< dialer->listener: magic, version, proc id, epoch
   kPeerPost = 17,  ///< dialer->listener: routed classical message
                    ///< (same epoch-tagged body layout as kPost)
-  kSimFence = 18,  ///< client->hub: req id; reply proves every earlier
-                   ///< one-way op batch on this connection has executed
-                   ///< (a direct peer send fences first, restoring the
-                   ///< ops-before-message order hub routing gave for free)
-  kSimFenceAck = 19,  ///< hub->client: req id
+  kSimFence = 18,     ///< retired
+  kSimFenceAck = 19,  ///< retired
   // Multi-tenant job-service frames (qmpid; see src/service/). One TCP
   // connection carries exactly one session; every post-open frame is
   // stamped with the (session id, epoch) pair the service issued, so a
@@ -172,7 +170,7 @@ enum class FrameType : std::uint8_t {
                     ///< simulator error string
   kSvcBatch = 26,   ///< client->svc: session, epoch, opaque batched quantum
                     ///< ops (one-way; failure latches and comes back as a
-                    ///< req-id-0 kSvcError, exactly like the hub's kSimBatch)
+                    ///< req-id-0 kSvcError)
   kSvcClose = 27,   ///< client->svc: req id, session, epoch (orderly close)
   kSvcClosed = 28,  ///< svc->client: req id, session op count (close ack)
 };

@@ -12,7 +12,6 @@
 #include "core/env.hpp"
 #include "core/protocol_tags.hpp"
 #include "core/sim_dist.hpp"
-#include "core/sim_wire.hpp"
 #include "service/session_client.hpp"
 #include "sim/circuit_cache.hpp"
 #include "sim/sharded_statevector.hpp"
@@ -755,10 +754,10 @@ classical::HubClient& tcp_hub_client() {
 }
 
 /// Under QMPI_TRANSPORT=tcp this process joins a qmpirun-launched job: it
-/// hosts a contiguous block of the job's ranks, quantum operations go to
-/// the hub's backend (or, distributed, to this process's replica), and the
-/// totals are world-summed at the end barrier so they are identical in all
-/// processes.
+/// hosts a contiguous block of the job's ranks, quantum operations go over
+/// the sim channels to rank 0's process (or, distributed, to every
+/// process's replica), and the totals are world-summed at the end barrier
+/// so they are identical in all processes.
 Placement place_tcp(const JobOptions& options) {
   classical::HubClient& hub = tcp_hub_client();
   const bool distributed =
@@ -769,10 +768,9 @@ Placement place_tcp(const JobOptions& options) {
   cfg.backend = static_cast<std::uint8_t>(options.backend);
   cfg.num_shards = options.num_shards;
   cfg.sim_threads = options.sim_threads;
-  // Processes participating in the distributed sim plane: with more
-  // processes than ranks the extras host zero ranks, issue no quantum
-  // ops, and stay out of slice ownership entirely (they still sit in the
-  // run barriers, like hub mode).
+  // Processes participating in the sim plane: with more processes than
+  // ranks the extras host zero ranks, issue no quantum ops, and stay out
+  // of slice ownership entirely (they still sit in the run barriers).
   const int sim_world = std::min(hub.nprocs(), options.num_ranks);
   if (distributed) {
     // Slices are the unit of cross-process ownership: at least one per
@@ -799,26 +797,30 @@ Placement place_tcp(const JobOptions& options) {
       hub, options.num_ranks, options.p2p, options.p2p_host);
   auto& transport = static_cast<classical::SocketTransport&>(*place.transport);
   place.ranks = transport.local_ranks();
-  // The transport's flush-before-post hook extends the client's issue order
-  // across processes.
-  //
-  // distributed: this process's backend replica lives inside the client.
-  // The client must exist before the begin barrier completes — its sim sink
-  // has to be registered before any peer can address us. Hub-hosted
-  // backends are created after the barrier instead (their first op is a hub
-  // round trip, which cannot race anything).
-  if (distributed && hub.proc_id() < sim_world) {
+  // The sim client (and with it this process's backend, if it hosts one)
+  // must exist before the begin barrier completes: its sim sink has to be
+  // registered before any peer can address us. A backend that cannot be
+  // built fails the run for every process once the barrier has made the
+  // run live, so no peer is left waiting on it.
+  std::string build_error;
+  if (hub.proc_id() < sim_world) {
     // Addressing inside the client uses rank_block over sim_world, which
     // agrees with the transport's real placement for every participating
     // process (the extras only ever truncate the tail of the blocks).
-    place.sim = std::make_shared<DistSimClient>(
-        transport, options.num_ranks, sim_world, hub.proc_id(),
-        cfg.num_shards, options.seed, options.sim_threads,
-        options.sim_batch_ops);
+    try {
+      place.sim = std::make_shared<DistSimClient>(
+          transport, options.num_ranks, sim_world, hub.proc_id(),
+          options.backend, cfg.num_shards, options.seed, options.sim_threads,
+          options.sim_batch_ops, options.circuit_cache);
+    } catch (const std::exception& e) {
+      build_error = std::string("cannot start run, backend reset failed: ") +
+                    e.what();
+    }
   }
   hub.begin_run(cfg);
-  if (!distributed) {
-    place.sim = std::make_shared<RemoteSimClient>(hub, options.sim_batch_ops);
+  if (!build_error.empty()) {
+    transport.shutdown(build_error);
+    throw QmpiError(build_error);
   }
   // end_run translates a peer failure at the end barrier into a QmpiError
   // carrying the job-level cause (possible even with zero local ranks).
@@ -856,13 +858,12 @@ JobReport run(const JobOptions& options,
   }
   // Resolve the SIMD tier before any backend exists so every sweep of this
   // job runs the selected kernels. Unavailable-ISA fallback is a notice,
-  // not an error — the report records what actually executed. Only the
-  // in-process and distributed backends sweep here; hub and service
-  // backends read their own process's QMPI_SIMD, and the notice this node
-  // would hit is still recorded to keep reports honest.
+  // not an error — the report records what actually executed. Every
+  // backend but the service's sweeps in a job process; the service reads
+  // its own process's QMPI_SIMD, and the notice this node would hit is
+  // still recorded to keep reports honest.
   const sim::simd::Selection simd_sel = sim::simd::resolve(options.simd);
-  if (options.transport == TransportKind::kInproc ||
-      backend == sim::BackendKind::kDistributed) {
+  if (options.transport != TransportKind::kService) {
     sim::simd::set_active(simd_sel.isa);
   }
   if (!simd_sel.notice.empty()) report.notices.push_back(simd_sel.notice);

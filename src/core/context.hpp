@@ -148,7 +148,8 @@ struct PersistentHandle {
 class Context {
  public:
   /// Quantum operations go wherever `sim` points: the in-process server
-  /// (LocalSimClient), a hub or service backend, or a distributed replica.
+  /// (LocalSimClient), a backend in another process, or a distributed
+  /// replica.
   Context(classical::Comm user_comm, std::shared_ptr<sim::SimClient> sim,
           Trace* trace);
 
@@ -450,8 +451,8 @@ class Context {
 
   /// The quantum operation surface of this rank. Typed and
   /// transport-agnostic: under QMPI_TRANSPORT=tcp the calls are forwarded
-  /// to the launcher-hosted backend, so use this (never a raw SimServer)
-  /// for state assertions in tests and examples.
+  /// to the backend rank 0's process hosts, so use this (never a raw
+  /// SimServer) for state assertions in tests and examples.
   sim::SimClient& sim() { return *sim_; }
 
   /// Probability of measuring 1 (no collapse); test/debug helper.
@@ -538,7 +539,7 @@ struct JobOptions {
   std::uint64_t seed = sim::kDefaultSeed;
   bool enable_trace = false;
   /// Which simulation backend holds the job's state: in process, in the
-  /// qmpid session, or in qmpirun's hub. kDistributed keeps one replica
+  /// qmpid session, or in rank 0's process. kDistributed keeps one replica
   /// per rank process and so needs kTcp; elsewhere it runs as kSharded
   /// and the JobReport carries a notice.
   sim::BackendKind backend = sim::BackendKind::kSerial;
@@ -590,8 +591,8 @@ struct JobOptions {
   /// Entry cap for the compiled-cluster cache attached to the in-process
   /// backend (QMPI_CIRCUIT_CACHE: on/off/<n>); 0 disables it. Under
   /// kService the cache lives service-side (qmpid's own knob) and this
-  /// field is ignored; under kTcp qmpirun's hub reads the variable itself,
-  /// and the distributed backend never attaches a cache. Replay through
+  /// field is ignored; under kTcp rank 0's process attaches the cache to
+  /// the backend it hosts, and the distributed backend never attaches one. Replay through
   /// the cache is bit-identical to a cold compile, so like sim_batch_ops
   /// this never changes results.
   std::size_t circuit_cache = 0;
@@ -640,8 +641,8 @@ struct JobReport {
 ///     go to a session on the qmpid job service at service_host:port.
 ///   - kTcp: this process joins a qmpirun-launched multi-process job and
 ///     hosts its contiguous block of ranks. Quantum operations go to the
-///     hub's backend, or with kDistributed to this process's replica of a
-///     state exchanged rank to rank. Resource totals are world-summed, so
+///     backend rank 0's process hosts, or with kDistributed to this
+///     process's replica of a state exchanged rank to rank. Resource totals are world-summed, so
 ///     the JobReport totals are identical in every process; the trace,
 ///     when enabled, covers only the locally hosted ranks.
 JobReport run(const JobOptions& options,

@@ -6,6 +6,7 @@
 
 #include "classical/error.hpp"
 #include "classical/wire.hpp"
+#include "sim/circuit_cache.hpp"
 
 namespace qmpi {
 
@@ -18,6 +19,7 @@ using classical::Message;
 constexpr int kSimTagOps = 0;    ///< one-way kBatch body, fan out to all
 constexpr int kSimTagCall = 1;   ///< reply op body, fan out to all
 constexpr int kSimTagFence = 2;  ///< sequencing marker, echo to origin
+constexpr int kSimTagError = 3;  ///< root-hosted reply carrying an error
 
 /// Sub-kinds of kSimData payloads (first byte).
 constexpr std::uint8_t kDataSlab = 0;     ///< pairwise exchange slab
@@ -254,17 +256,17 @@ void PeerExchange::deliver(Message msg) {
 
 DistSimClient::DistSimClient(classical::SocketTransport& transport,
                              int num_ranks, int nprocs, int proc_id,
-                             unsigned num_shards, std::uint64_t seed,
-                             unsigned sim_threads,
-                             std::size_t max_batch_ops)
+                             sim::BackendKind kind, unsigned num_shards,
+                             std::uint64_t seed, unsigned sim_threads,
+                             std::size_t max_batch_ops,
+                             std::size_t circuit_cache)
     : BatchingSimClient(max_batch_ops),
       transport_(&transport),
       num_ranks_(num_ranks),
       nprocs_(nprocs),
       proc_id_(proc_id),
       my_first_rank_(classical::rank_block(num_ranks, nprocs, proc_id).first),
-      provider_(transport, num_ranks, nprocs, proc_id, num_shards),
-      backend_(num_shards, seed, &provider_) {
+      hosted_(kind != sim::BackendKind::kDistributed) {
   if (nprocs > num_ranks) {
     throw QmpiError(
         "QMPI_BACKEND=distributed needs every process to host at least one "
@@ -272,8 +274,20 @@ DistSimClient::DistSimClient(classical::SocketTransport& transport,
         std::to_string(nprocs) + " processes share " +
         std::to_string(num_ranks) + " ranks (launch with -n <= num_ranks)");
   }
-  backend_.set_num_threads(sim_threads);
-  executor_ = std::thread([this] { exec_loop(); });
+  if (!hosted_) {
+    provider_ = std::make_unique<PeerExchange>(transport, num_ranks, nprocs,
+                                               proc_id, num_shards);
+    backend_ = std::make_unique<sim::ShardedStateVector>(num_shards, seed,
+                                                         provider_.get());
+  } else if (proc_id == 0) {
+    backend_ = sim::make_backend(kind, seed, num_shards);
+    if (circuit_cache > 0) {
+      backend_->set_cluster_cache(
+          std::make_shared<sim::ClusterCache>(circuit_cache));
+    }
+  }
+  if (backend_) backend_->set_num_threads(sim_threads);
+  if (!hosted_) executor_ = std::thread([this] { exec_loop(); });
   transport_->set_sim_hooks(
       {[this](Message m) { on_sim_message(std::move(m)); },
        [this] { fence(); },
@@ -285,6 +299,7 @@ DistSimClient::~DistSimClient() {
   // a hook has left it, so nothing below races a receiver thread. The
   // transport outlives this object (the job harness's Placement order).
   transport_->set_sim_hooks({});
+  if (!executor_.joinable()) return;
   {
     const qmpi::LockGuard lk(exec_mu_);
     stop_ = true;
@@ -293,44 +308,44 @@ DistSimClient::~DistSimClient() {
   // Abandon, don't drain: anything still queued after the end-of-run
   // barrier is a tail of slice-local work no rank can observe anymore. The
   // provider fail also wakes an executor blocked in a take mid-op.
-  provider_.fail("run ended");
-  if (executor_.joinable()) executor_.join();
+  provider_->fail("run ended");
+  executor_.join();
 }
 
-std::uint64_t DistSimClient::post_ctl(Message msg) {
+std::uint64_t DistSimClient::post_ctl(int tag, std::uint64_t req,
+                                      std::span<const std::byte> body) {
+  Message m;
+  m.channel = ChannelKind::kSimCtl;
+  m.source = my_first_rank_;
+  m.tag = tag;
+  m.context = req;
+  m.payload.assign(body.begin(), body.end());
   const qmpi::LockGuard lk(ctl_mu_);
   const std::uint64_t gen = ++ctl_gen_;
   // Root addressing: world rank 0 is always the root process's first rank.
-  transport_->post_sim(0, std::move(msg));
+  transport_->post_sim(0, std::move(m));
   return gen;
 }
 
-std::vector<std::byte> DistSimClient::ship_call(
-    std::span<const std::byte> request) {
+std::vector<std::byte> DistSimClient::round_trip(
+    int tag, std::span<const std::byte> body) {
   const std::uint64_t req = next_req_.fetch_add(1);
   {
     const qmpi::LockGuard lk(pending_mu_);
     if (!failed_.empty()) throw classical::ShutdownError();
     pending_.emplace(req, Pending{});
   }
-  Message m;
-  m.channel = ChannelKind::kSimCtl;
-  m.source = my_first_rank_;
-  m.tag = kSimTagCall;
-  m.context = req;
-  m.payload.assign(request.begin(), request.end());
-  const std::uint64_t gen = post_ctl(std::move(m));
-  return wait_request(req, gen);
+  return wait_request(req, post_ctl(tag, req, body));
+}
+
+std::vector<std::byte> DistSimClient::ship_call(
+    std::span<const std::byte> request) {
+  return round_trip(kSimTagCall, request);
 }
 
 void DistSimClient::ship_batch(std::span<const std::byte> body,
                                std::uint32_t /*count*/) {
-  Message m;
-  m.channel = ChannelKind::kSimCtl;
-  m.source = my_first_rank_;
-  m.tag = kSimTagOps;
-  m.payload.assign(body.begin(), body.end());
-  post_ctl(std::move(m));
+  post_ctl(kSimTagOps, 0, body);
 }
 
 void DistSimClient::fence() {
@@ -343,31 +358,27 @@ void DistSimClient::fence() {
   // Everything submitted so far already proven sequenced (by an earlier
   // call or fence): the transport's per-send hook lands here for free.
   if (sequenced_gen_.load() >= target) return;
-  const std::uint64_t req = next_req_.fetch_add(1);
-  {
-    const qmpi::LockGuard lk(pending_mu_);
-    if (!failed_.empty()) throw classical::ShutdownError();
-    pending_.emplace(req, Pending{});
-  }
-  Message m;
-  m.channel = ChannelKind::kSimCtl;
-  m.source = my_first_rank_;
-  m.tag = kSimTagFence;
-  m.context = req;
-  const std::uint64_t gen = post_ctl(std::move(m));
-  wait_request(req, gen);
+  round_trip(kSimTagFence, {});
 }
 
 void DistSimClient::on_sim_message(Message msg) {
   switch (msg.channel) {
     case ChannelKind::kSimData:
-      provider_.deliver(std::move(msg));
+      if (provider_) provider_->deliver(std::move(msg));
       return;
     case ChannelKind::kSimCtl:
       sequence(std::move(msg));
       return;
     case ChannelKind::kSimExec:
-      enqueue_exec(std::move(msg));
+      if (!hosted_) {
+        enqueue_exec(std::move(msg));
+      } else if (msg.tag == kSimTagError) {  // the root's reply
+        fulfill(msg.context, {},
+                std::string(reinterpret_cast<const char*>(msg.payload.data()),
+                            msg.payload.size()));
+      } else {
+        fulfill(msg.context, std::move(msg.payload), {});
+      }
       return;
     default:
       return;  // classical channels never reach the sim sink
@@ -376,6 +387,32 @@ void DistSimClient::on_sim_message(Message msg) {
 
 void DistSimClient::sequence(Message msg) {
   if (proc_id_ != 0) return;  // ctl frames are addressed to the root only
+  if (hosted_) {
+    std::vector<std::byte> result;
+    std::string error;
+    {
+      const qmpi::LockGuard lk(seq_mu_);
+      if (!execute(msg, result, error)) return;
+    }
+    if (msg.source == my_first_rank_) {
+      fulfill(msg.context, std::move(result), std::move(error));
+      return;
+    }
+    Message reply;
+    reply.channel = ChannelKind::kSimExec;
+    reply.source = my_first_rank_;
+    reply.context = msg.context;
+    if (error.empty()) {
+      reply.tag = kSimTagCall;
+      reply.payload = std::move(result);
+    } else {
+      reply.tag = kSimTagError;
+      const auto text = std::as_bytes(std::span(error));
+      reply.payload.assign(text.begin(), text.end());
+    }
+    transport_->post_sim(msg.source, std::move(reply));
+    return;
+  }
   const qmpi::LockGuard lk(seq_mu_);
   msg.channel = ChannelKind::kSimExec;
   if (msg.tag == kSimTagFence) {
@@ -412,44 +449,46 @@ void DistSimClient::exec_loop() {
       m = std::move(exec_q_.front());
       exec_q_.pop_front();
     }
-    execute(m);
+    std::vector<std::byte> result;
+    std::string error;
+    // Every replica executes every op — one more RNG draw, one more
+    // collapse, in lockstep — but only the origin fulfills its waiter.
+    if (execute(m, result, error) && m.source == my_first_rank_) {
+      fulfill(m.context, std::move(result), std::move(error));
+    }
   }
 }
 
-void DistSimClient::execute(Message& m) {
-  const bool mine = m.source == my_first_rank_;
+bool DistSimClient::execute(const Message& m, std::vector<std::byte>& result,
+                            std::string& error) {
+  // A stream that broke stays broken: every replica holds the same latch,
+  // so every replica skips the same ops.
+  std::string& broken = broken_[m.source];
   switch (m.tag) {
-    case kSimTagFence:
-      fulfill(m.context, {}, deferred_error_);
-      return;
-    case kSimTagCall: {
-      // Every replica executes the call — one more RNG draw, one more
-      // collapse, in lockstep — but only the origin fulfills its waiter.
-      std::vector<std::byte> out;
-      std::string err;
-      try {
-        out = apply_sim_request(backend_, m.payload);
-      } catch (const std::exception& e) {
-        err = e.what();
-      }
-      if (mine) {
-        fulfill(m.context, std::move(out),
-                deferred_error_.empty() ? std::move(err) : deferred_error_);
-      }
-      return;
-    }
     case kSimTagOps:
+      if (!broken.empty()) return false;
       try {
-        apply_sim_request(backend_, m.payload);
+        apply_sim_request(*backend_, m.payload);
       } catch (const std::exception& e) {
-        // Deterministic replay stops every replica at the same sub-op, so
-        // state stays consistent everywhere; only the origin surfaces the
-        // error (at its next call/fence), mirroring hub-mode attribution.
-        if (mine && deferred_error_.empty()) deferred_error_ = e.what();
+        broken = e.what();
       }
-      return;
+      return false;
+    case kSimTagCall:
+      if (!broken.empty()) {
+        error = broken;
+        return true;
+      }
+      try {
+        result = apply_sim_request(*backend_, m.payload);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+      return true;
+    case kSimTagFence:
+      error = broken;
+      return true;
     default:
-      return;
+      return false;
   }
 }
 
@@ -505,7 +544,7 @@ void DistSimClient::fail_run(const std::string& reason) {
   pending_cv_.notify_all();
   // Wake the executor out of any blocked take; it keeps draining (throws
   // surface as recorded errors), and the destructor stops it for good.
-  provider_.fail(reason);
+  if (provider_) provider_->fail(reason);
 }
 
 }  // namespace qmpi

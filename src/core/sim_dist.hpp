@@ -1,24 +1,26 @@
 #pragma once
 
 /// \file sim_dist.hpp
-/// The distributed state-vector runtime (QMPI_BACKEND=distributed): every
-/// rank process hosts a ShardedStateVector replica, reply-free operations
-/// fan out to all of them through a root-rank sequencer, and global gates
-/// move amplitude slabs rank-to-rank over the peer data plane. See
-/// docs/ARCHITECTURE.md §6.
+/// The quantum plane of tcp jobs: every process ships its op stream over
+/// the transport's sim channels to the root process (world rank 0's),
+/// which either runs it on the one backend it hosts (serial, sharded) or,
+/// with QMPI_BACKEND=distributed, fans it out to a ShardedStateVector
+/// replica in every rank process, global gates moving amplitude slabs
+/// rank-to-rank over the peer data plane. See docs/ARCHITECTURE.md §6a.
 ///
-/// Design in one paragraph: storage is replicated (every process allocates
-/// all slices) but COMPUTE is partitioned — each process sweeps only the
-/// slice block slice_block(world, rank, active) assigns it, so non-resident
-/// slices go harmlessly stale and operations that need the whole state
-/// materialize a replica first (sim/shard_exchange.hpp). Correctness then
-/// reduces to one invariant: every replica replays the identical operation
-/// stream in the identical order, so layout maps, op ticks, and the
-/// measurement RNG advance in lockstep and measurement outcomes agree
-/// everywhere by construction. The root rank's process provides that total
-/// order: all processes submit op bodies to it on the kSimCtl channel (one
-/// FIFO route per origin), and it rebroadcasts them on kSimExec to every
-/// process — itself included — in a single sequenced stream.
+/// The distributed design in one paragraph: storage is replicated (every
+/// process allocates all slices) but COMPUTE is partitioned — each process
+/// sweeps only the slice block slice_block(world, rank, active) assigns
+/// it, so non-resident slices go harmlessly stale and operations that need
+/// the whole state materialize a replica first (sim/shard_exchange.hpp).
+/// Correctness then reduces to one invariant: every replica replays the
+/// identical operation stream in the identical order, so layout maps, op
+/// ticks, and the measurement RNG advance in lockstep and measurement
+/// outcomes agree everywhere by construction. The root process provides
+/// that total order: all processes submit op bodies to it on the kSimCtl
+/// channel (one FIFO route per origin), and it rebroadcasts them on
+/// kSimExec to every process — itself included — in a single sequenced
+/// stream.
 ///
 /// Happens-before across the classical plane: before any classical message
 /// leaves a process, the transport's sim-fence hook sequences that
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -120,40 +123,55 @@ class PeerExchange final : public sim::ExchangeProvider {
   std::string scalar_fail_ QMPI_GUARDED_BY(scalar_mu_);  ///< set by fail()
 };
 
-/// BatchingSimClient whose backend is the process-resident replica. All
-/// locally hosted rank threads share one instance (one op pipeline, like
-/// RemoteSimClient); an executor thread replays the root-sequenced kSimExec
-/// stream through apply_sim_request into the replica.
+/// BatchingSimClient over the sim channels of a tcp job, for every
+/// backend kind. All locally hosted rank threads share one instance (one op
+/// pipeline). Every process submits op bodies to the root process (world
+/// rank 0's) on kSimCtl, one FIFO route per origin; the root sequences
+/// them for one of two replica sets:
 ///
-/// Reply-producing ops (allocate, measure, probabilities) are sequenced
-/// and executed on EVERY replica — that is what keeps the RNG in lockstep —
-/// but only the origin process fulfills the caller's wait with the result.
-/// A fence submits a marker the root echoes back to the origin alone; its
-/// arrival through the origin's executor proves every earlier op from this
-/// process is sequenced globally and executed locally. The transport's
-/// sim-fence hook calls fence(), which skips the round trip entirely when
-/// nothing was submitted since the last proof — the common
-/// measure-then-send pattern pays nothing extra.
+///   - distributed (QMPI_BACKEND=distributed): every process hosts a
+///     ShardedStateVector replica. The root rebroadcasts each op on
+///     kSimExec to every process, itself included, and an executor thread
+///     replays that stream through apply_sim_request into the replica.
+///     Reply-producing ops (allocate, measure, probabilities) execute on
+///     EVERY replica — that keeps the RNG in lockstep — but only the
+///     origin fulfills the caller's wait with the result.
+///   - root-hosted (serial, sharded): only the root builds a backend
+///     (sim::make_backend), the paper's §6 "all ranks forward quantum
+///     operations to rank 0". The root runs each op as it is delivered and
+///     sends call results and fence acknowledgements back to the origin
+///     on kSimExec; nothing is rebroadcast.
 ///
-/// Error contract: a failed batched op is recorded by the origin's replica
-/// and surfaces at the origin's next call/fence as SimulatorError
-/// ("batched op N of M: ..."), exactly like hub mode; replay determinism
-/// keeps every replica's state consistent (all stop at the same sub-op). A
-/// transport-level death (peer process gone, hub abort) wakes every
-/// blocked waiter with ShutdownError so rank threads unwind instead of
-/// hanging, and the job-level cause travels via the hub's abort reason.
+/// A fence submits a marker the root answers to the origin alone, after
+/// every earlier op from that origin; its arrival proves those ops
+/// sequenced and executed. The transport's sim-fence hook calls fence(),
+/// which skips the round trip entirely when nothing was submitted since
+/// the last proof — the common measure-then-send pattern pays nothing
+/// extra.
+///
+/// Error contract: a failed batched op latches its origin's op stream for
+/// the rest of the run on every replica: later batches from that origin
+/// are dropped, and its later calls and fences get the latched error
+/// ("batched op N of M: ...") as SimulatorError. The failing sub-op is the
+/// same on every replica, so the skip is deterministic. A transport-level
+/// death (peer process gone, hub abort) wakes every blocked waiter with
+/// ShutdownError so rank threads unwind instead of hanging, and the
+/// job-level cause travels via the hub's abort reason.
 class DistSimClient final : public BatchingSimClient {
  public:
-  /// Builds the replica and registers the transport's sim sink/fence/fail
-  /// hooks. Construct before the run-begin barrier completes (no sim
-  /// traffic can arrive earlier, since peers learn our address at the
-  /// barrier) and destroy before the transport. Requires
+  /// Builds this process's backend (distributed: a replica in every
+  /// process; otherwise only on the root, with a per-run compiled-cluster
+  /// cache of `circuit_cache` entries when nonzero) and registers the
+  /// transport's sim hooks. Construct before the run-begin barrier
+  /// completes (no sim traffic can arrive earlier, since peers learn our
+  /// address at the barrier) and destroy before the transport. Requires
   /// nprocs <= num_ranks: processes are addressed through their first
   /// hosted world rank, so every process must host one.
   DistSimClient(classical::SocketTransport& transport, int num_ranks,
-                int nprocs, int proc_id, unsigned num_shards,
-                std::uint64_t seed, unsigned sim_threads,
-                std::size_t max_batch_ops = sim::kDefaultSimBatchOps);
+                int nprocs, int proc_id, sim::BackendKind kind,
+                unsigned num_shards, std::uint64_t seed, unsigned sim_threads,
+                std::size_t max_batch_ops = sim::kDefaultSimBatchOps,
+                std::size_t circuit_cache = 0);
   ~DistSimClient() override;
 
   void fence() override;
@@ -175,13 +193,20 @@ class DistSimClient final : public BatchingSimClient {
   void sequence(classical::Message msg);  ///< root process only
   void enqueue_exec(classical::Message msg);
   void exec_loop();
-  void execute(classical::Message& msg);  ///< executor thread only
+  /// Runs one sequenced op; returns false when it has no reply (a batch),
+  /// otherwise fills the reply for the origin. Executor thread
+  /// (distributed) or under seq_mu_ (root-hosted).
+  bool execute(const classical::Message& m, std::vector<std::byte>& result,
+               std::string& error);
   void fulfill(std::uint64_t req_id, std::vector<std::byte> result,
                std::string error);
   void fail_run(const std::string& reason);
   /// Posts one ctl message to the root under ctl_mu_, so the generation
   /// stamp order matches the wire order; returns the stamped generation.
-  std::uint64_t post_ctl(classical::Message msg);
+  std::uint64_t post_ctl(int tag, std::uint64_t req,
+                         std::span<const std::byte> body);
+  /// Posts a request the root answers, and waits for the answer.
+  std::vector<std::byte> round_trip(int tag, std::span<const std::byte> body);
   std::vector<std::byte> wait_request(std::uint64_t req_id,
                                       std::uint64_t gen);
   int first_rank(int proc) const {
@@ -193,9 +218,14 @@ class DistSimClient final : public BatchingSimClient {
   int nprocs_;
   int proc_id_;
   int my_first_rank_;
+  bool hosted_;  ///< root-hosted backend rather than replicas
 
-  PeerExchange provider_;            ///< declared before the replica using it
-  sim::ShardedStateVector backend_;  ///< executor-thread only after ctor
+  /// Distributed only; declared before the replica using it.
+  std::unique_ptr<PeerExchange> provider_;
+  /// Every process's replica (distributed) or the root's backend
+  /// (root-hosted; null elsewhere). Executor-thread only after the ctor
+  /// (distributed), or under seq_mu_ (root-hosted).
+  std::unique_ptr<sim::Backend> backend_;
 
   /// Orders generation stamping with ctl wire order: a completed request
   /// at generation g proves every generation <= g is sequenced.
@@ -211,18 +241,20 @@ class DistSimClient final : public BatchingSimClient {
   /// Run-fatal transport reason, first cause wins.
   std::string failed_ QMPI_GUARDED_BY(pending_mu_);
 
-  /// Sticky first batched-op error from this process's stream; executor
-  /// thread only (recorded and read while fulfilling, both there).
-  std::string deferred_error_;
+  /// Per-origin broken-stream latch, keyed by the origin's first world
+  /// rank: the first batched-op error of that origin's stream. Same
+  /// access rule as backend_.
+  std::unordered_map<int, std::string> broken_;
 
-  /// Serializes the root's rebroadcast fan-out.
+  /// Serializes the root's sequencing: the rebroadcast fan-out
+  /// (distributed) or the op execution itself (root-hosted).
   qmpi::Mutex seq_mu_{"DistSimClient::seq_mu"};
 
   qmpi::Mutex exec_mu_{"DistSimClient::exec_mu"};
   qmpi::CondVar exec_cv_;
   std::deque<classical::Message> exec_q_ QMPI_GUARDED_BY(exec_mu_);
   bool stop_ QMPI_GUARDED_BY(exec_mu_) = false;
-  std::thread executor_;
+  std::thread executor_;  ///< distributed only
 };
 
 }  // namespace qmpi

@@ -6,7 +6,6 @@
 
 namespace qmpi {
 
-using classical::RemoteSimError;
 using classical::WireReader;
 using classical::WireWriter;
 
@@ -269,65 +268,6 @@ std::size_t BatchingSimClient::num_qubits() {
   const auto reply_body = call(w);
   WireReader r(reply_body);
   return static_cast<std::size_t>(r.u64());
-}
-
-// ------------------------------------------------------------ hub client ---
-
-RemoteSimClient::RemoteSimClient(classical::HubClient& hub,
-                                 std::size_t max_batch_ops)
-    : BatchingSimClient(max_batch_ops), hub_(&hub) {
-  if (max_batch_ops_ > 0) {
-    // The hook drains this buffer right before any classical post or
-    // run-end barrier leaves the process: the batch frame hits the hub
-    // connection first, and per-connection FIFO plus the hub's synchronous
-    // op execution turn that write order into happens-before for every
-    // peer that receives the classical message.
-    hub_->set_sim_flush([this] { flush(); });
-  }
-}
-
-RemoteSimClient::~RemoteSimClient() {
-  if (max_batch_ops_ > 0) {
-    hub_->set_sim_flush(nullptr);
-    try {
-      flush();
-    } catch (...) {
-      // The run is already dead (that is why ops are still buffered);
-      // the harness has reported the cause.
-    }
-  }
-}
-
-std::vector<std::byte> RemoteSimClient::ship_call(
-    std::span<const std::byte> request) {
-  try {
-    return hub_->sim_call(request);
-  } catch (const RemoteSimError& e) {
-    // Same type the local path throws, same message the remote Backend
-    // produced: error handling is location-transparent.
-    throw sim::SimulatorError(e.what());
-  }
-}
-
-void RemoteSimClient::ship_batch(std::span<const std::byte> body,
-                                 std::uint32_t /*count*/) {
-  try {
-    hub_->sim_post(body);
-  } catch (const RemoteSimError& e) {
-    // A previously posted batch failed at the hub; surface it here, at
-    // this process's next synchronization point.
-    throw sim::SimulatorError(e.what());
-  }
-}
-
-void RemoteSimClient::fence() {
-  flush();
-  // A reply op round-trips behind every posted batch on the same FIFO
-  // connection, so its reply (checked for a deferred batch error inside
-  // sim_call) proves all earlier batches have executed.
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(SimOp::kNumQubits));
-  (void)ship_call(w.data());
 }
 
 // ------------------------------------------------------------- executor ---

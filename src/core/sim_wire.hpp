@@ -5,9 +5,8 @@
 #include <span>
 #include <vector>
 
-#include "classical/socket_transport.hpp"
-#include "core/sync.hpp"
 #include "classical/wire.hpp"
+#include "core/sync.hpp"
 #include "sim/backend.hpp"
 #include "sim/sim_client.hpp"
 
@@ -31,12 +30,12 @@ namespace qmpi {
 /// stream attributes failures — and stops at them — exactly like the
 /// one-op-per-frame path.
 ///
-/// Two shippers implement the protocol: RemoteSimClient sends every body
-/// over the hub connection to the launcher-hosted backend
-/// (QMPI_BACKEND=serial/sharded under tcp), and core/sim_dist.hpp's
-/// DistSimClient routes bodies through the root-rank sequencer to a
-/// backend replica resident in every rank process
-/// (QMPI_BACKEND=distributed).
+/// Two shippers implement the protocol. Under QMPI_TRANSPORT=tcp,
+/// core/sim_dist.hpp's DistSimClient routes bodies over the sim channels
+/// to the root-rank sequencer, which runs them on the backend rank 0's
+/// process hosts (serial, sharded) or fans them out to a replica in every
+/// rank process (distributed). Under QMPI_TRANSPORT=service,
+/// service::SessionClient sends them to a qmpid session.
 ///
 /// The opcode values are part of the wire format; append only.
 enum class SimOp : std::uint8_t {
@@ -144,35 +143,11 @@ class BatchingSimClient : public sim::SimClient {
   std::uint64_t ops_batched_ QMPI_GUARDED_BY(batch_mu_) = 0;
 };
 
-/// BatchingSimClient that ships every body over the rank process's hub
-/// connection to the launcher-hosted backend. Used under
-/// QMPI_TRANSPORT=tcp with a hub-resident backend; batches travel as
-/// one-way kSimBatch frames and the HubClient sim-flush hook drains the
-/// buffer right before any classical post or run-end barrier leaves this
-/// process.
-class RemoteSimClient final : public BatchingSimClient {
- public:
-  explicit RemoteSimClient(classical::HubClient& hub,
-                           std::size_t max_batch_ops = sim::kDefaultSimBatchOps);
-  ~RemoteSimClient() override;
-
-  void fence() override;
-
- private:
-  std::vector<std::byte> ship_call(
-      std::span<const std::byte> request) override;
-  void ship_batch(std::span<const std::byte> body,
-                  std::uint32_t count) override;
-
-  classical::HubClient* hub_;
-};
-
 /// Executes one encoded SimOp against `backend` and returns the encoded
-/// reply. This is the executing side of the protocol: the launcher
-/// installs `[&](req) { return apply_sim_request(*backend, req); }` as
-/// the hub's sim service, and the distributed executor replays sequenced
-/// bodies through the same function — one decoder, no semantic drift.
-/// Throws sim::SimulatorError on misuse.
+/// reply. This is the executing side of the protocol: the sim-channel
+/// executor (core/sim_dist.hpp) and the job service both run bodies
+/// through this one decoder, so there is no semantic drift. Throws
+/// sim::SimulatorError on misuse.
 std::vector<std::byte> apply_sim_request(sim::Backend& backend,
                                          std::span<const std::byte> request);
 

@@ -471,7 +471,7 @@ void JobService::execute(const std::shared_ptr<Session>& session,
                          Command cmd) {
   if (session->broken) {
     // A batched gate failed earlier; the op stream is broken for good,
-    // exactly like the hub's latched sim failure. Calls get the latched
+    // exactly like a tcp job's latched op stream. Calls get the latched
     // error (so the client's next sync point throws); batches are noise.
     if (!cmd.is_batch) {
       WireWriter w;

@@ -181,7 +181,7 @@ std::vector<std::byte> SessionClient::await_reply(std::uint64_t req_id) {
       const std::string message = r.str();
       if (id == req_id || id == 0) {
         // id 0 is a deferred batch failure surfacing at this (synchronous)
-        // call — same latching contract as the hub's kSimError req id 0.
+        // call — the same latching contract as a tcp job's op stream.
         throw sim::SimulatorError(message);
       }
       continue;

@@ -6,7 +6,7 @@
 /// constructor performs the open/admission handshake (throwing the typed
 /// AdmissionError when the service's memory budget refuses the session),
 /// after which the client is a drop-in sim::SimClient — protocol code
-/// cannot tell a multi-tenant service session from a private hub backend.
+/// cannot tell a multi-tenant service session from a private backend.
 
 #include <cstddef>
 #include <cstdint>

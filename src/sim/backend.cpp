@@ -357,7 +357,7 @@ std::unique_ptr<Backend> make_backend(BackendKind kind, std::uint64_t seed,
       // No single process can host "the" distributed backend: each rank
       // process builds its replica through core/sim_dist.hpp, wired to the
       // transport. Reaching here means a layer tried to treat it like a
-      // hub-hostable backend.
+      // backend one process can host.
       throw SimulatorError(
           "the distributed backend spans rank processes and is constructed "
           "by the tcp transport layer (core/sim_dist.hpp), not "

@@ -13,9 +13,9 @@ namespace qmpi::sim {
 /// (§6) forwards every quantum operation to rank 0, where "a separate
 /// thread ... waits to receive gate operations to execute". What that
 /// design buys is one serialization point, not a thread, so it is modelled
-/// here as a mutex-guarded monitor — the same serialization point the TCP
-/// hub uses (Hub::sim_mu): call() runs the closure on the calling rank
-/// thread while holding SimServer::mutex. Backend calls never overlap, and
+/// here as a mutex-guarded monitor — the same serialization point rank 0's
+/// process uses under tcp (DistSimClient::seq_mu): call() runs the closure
+/// on the calling rank thread while holding SimServer::mutex. Backend calls never overlap, and
 /// each sees every call that finished before it, so the global state stays
 /// a faithful representation of the distributed machine at every step.
 ///

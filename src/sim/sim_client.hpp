@@ -17,13 +17,15 @@ namespace qmpi::sim {
 /// The quantum operations a QMPI rank may perform, as an abstract typed
 /// surface instead of raw closures over the Backend.
 ///
-/// Two implementations exist:
+/// Implementations:
 ///   - LocalSimClient (below): calls into the in-process SimServer — the
 ///     path every threads-as-ranks job takes.
-///   - RemoteSimClient (core/sim_wire.hpp): serializes each call onto the
-///     rank process's hub connection, where the launcher-hosted backend
-///     executes it — the paper's "forward quantum operations to rank 0"
-///     made literal across OS processes.
+///   - BatchingSimClient subclasses (core/sim_wire.hpp) serialize each
+///     call into a wire body: DistSimClient (core/sim_dist.hpp) ships it
+///     to rank 0's process, which hosts the backend — the paper's
+///     "forward quantum operations to rank 0" made literal across OS
+///     processes — and service::SessionClient ships it to a qmpid
+///     session.
 ///
 /// Context is written entirely against this interface, so protocols,
 /// collectives, and tests cannot tell (and must not care) where the state
@@ -88,8 +90,8 @@ class SimClient {
   virtual void fence() { flush(); }
 };
 
-/// Default number of reply-free ops RemoteSimClient coalesces into one
-/// batch frame before flushing on its own (QMPI_SIM_BATCH=on), and the
+/// Default number of reply-free ops a BatchingSimClient coalesces into one
+/// batch before flushing on its own (QMPI_SIM_BATCH=on), and the
 /// hard ceiling an explicit QMPI_SIM_BATCH=<n> may request.
 inline constexpr std::size_t kDefaultSimBatchOps = 1024;
 inline constexpr std::size_t kMaxSimBatchOps = 1u << 20;

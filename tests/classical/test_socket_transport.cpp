@@ -31,11 +31,17 @@ using namespace qmpi::classical;
 
 namespace {
 
+/// Mirrors of the anonymous wire constants in socket_transport.cpp, so
+/// tests can speak the hub and peer handshakes from the outside. A version
+/// bump there must be reflected here (deliberately: forged-frame tests
+/// should break loudly when the wire format changes).
+constexpr std::uint32_t kTestHelloMagic = 0x51'4d'50'49;  // "QMPI"
+constexpr std::uint16_t kTestWireVersion = 3;
+
 /// Hub on an ephemeral loopback port, served on a background thread.
 struct TestHub {
-  explicit TestHub(int nprocs, Hub::Services services = {})
-      : hub(nprocs, 0, std::move(services)),
-        server([this] { hub.serve(); }) {}
+  explicit TestHub(int nprocs)
+      : hub(nprocs, 0), server([this] { hub.serve(); }) {}
   ~TestHub() {
     hub.stop();
     server.join();
@@ -375,6 +381,82 @@ TEST(SocketFailures, RunConfigMismatchFailsEveryProcess) {
   }
 }
 
+TEST(SocketFailures, RetiredQuantumFrameAbortsTheRunEverywhere) {
+  // Wire v3 retired the hub's quantum plane. A process that still ships a
+  // quantum op to the hub (kSim, frame type 9) has lost that op, so the
+  // hub must count the frame and fail the live run: every process's
+  // blocked call ends in a typed error, in bounded time.
+  TestHub th(3);
+  RunConfig cfg;
+  cfg.num_ranks = 2;  // processes 0 and 1 host a rank each; 2 hosts none
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::string> job_errors(2);
+  std::atomic<int> ranks_woken{0};
+  std::vector<std::thread> procs;
+  for (int p = 0; p < 2; ++p) {
+    procs.emplace_back([&, p] {
+      HubClient client("127.0.0.1", th.hub.port(), p);
+      SocketTransport transport(client, 2);
+      client.begin_run(cfg);
+      std::thread rank([&] {
+        Comm world = Comm::world(transport, p);
+        try {
+          (void)world.recv<int>(1 - p, 0);  // never sent
+        } catch (const ShutdownError&) {
+          ++ranks_woken;
+        }
+      });
+      rank.join();
+      try {
+        (void)client.end_run({});
+      } catch (const QmpiError& e) {
+        job_errors[static_cast<std::size_t>(p)] = e.what();
+      }
+    });
+  }
+
+  // Process 2 speaks the wire by hand, as an old client would.
+  const int fd = net::dial_tcp("127.0.0.1", th.hub.port(), 2000);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  WireWriter hello;
+  hello.u32(kTestHelloMagic);
+  hello.u16(kTestWireVersion);
+  hello.u16(2);  // proc id
+  write_frame(fd, FrameType::kHello, hello.data());
+  ASSERT_EQ(read_frame(fd).type, FrameType::kHelloAck);
+  WireWriter begin;
+  begin.u64(1);  // req id
+  begin.u64(1);  // epoch
+  begin.u32(cfg.num_ranks);
+  begin.u64(cfg.seed);
+  begin.u8(cfg.backend);
+  begin.u32(cfg.num_shards);
+  begin.u32(cfg.sim_threads);
+  write_frame(fd, FrameType::kRunBegin, begin.data());
+  ASSERT_EQ(read_frame(fd).type, FrameType::kRunReady);
+  WireWriter op;
+  op.u64(2);  // req id; the opaque op body does not matter
+  write_frame(fd, FrameType::kSim, op.data());
+  Frame abort = read_frame(fd);
+  ASSERT_EQ(abort.type, FrameType::kAbort);
+  WireReader r(abort.body);
+  (void)r.u64();  // epoch
+  EXPECT_NE(r.str().find("hosts no quantum ops"), std::string::npos);
+
+  for (auto& t : procs) t.join();
+  ::close(fd);
+  EXPECT_EQ(ranks_woken.load(), 2);
+  for (const auto& what : job_errors) {
+    EXPECT_NE(what.find("quantum op"), std::string::npos)
+        << "end_run must name the cause, got: \"" << what << "\"";
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_EQ(th.hub.retired_quantum_frames(), 1u);
+}
+
 // ------------------------------------------------- parity with Universe ---
 
 TEST(SocketComm, PointToPointAcrossProcessesMatchesInprocSemantics) {
@@ -486,13 +568,6 @@ TEST(SocketComm, RunEndSumsTotalsAcrossProcesses) {
 // --------------------------------------------------------- p2p data plane ---
 
 namespace {
-
-/// Mirrors of the anonymous wire constants in socket_transport.cpp, so the
-/// tests below can speak the peer handshake from the outside. A version
-/// bump there must be reflected here (deliberately: forged-frame tests
-/// should break loudly when the peer wire format changes).
-constexpr std::uint32_t kTestHelloMagic = 0x51'4d'50'49;  // "QMPI"
-constexpr std::uint16_t kTestWireVersion = 2;
 
 /// Connects to a loopback port; gtest-fails and returns -1 on error.
 int dial_loopback(std::uint16_t port) {

@@ -1,242 +1,22 @@
-// Tests for the remote quantum-op wire protocol, focused on the batched
-// pipeline: batched and unbatched streams must be observably identical,
-// oversized streams must split into multiple frames instead of tripping
-// the frame cap, a mid-batch backend error must surface as SimulatorError
-// with "op N of M" attribution (and stop the rest of the batch), and the
-// wire encoders must reject counts that would silently truncate to u32.
+// Tests for the quantum-op wire protocol's executing side: a batch body
+// may carry only reply-free ops, malformed bodies surface as errors, and
+// the wire encoders must reject counts that would silently truncate to
+// u32. The batched pipeline end to end (batched == unbatched, frame
+// splitting, "op N of M" attribution, broken streams) is tested over real
+// sim channels in test_distributed_backend.cpp (SimWireBatch).
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "classical/socket_transport.hpp"
 #include "classical/wire.hpp"
 #include "core/sim_wire.hpp"
 #include "sim/backend.hpp"
-#include "sim/gates.hpp"
 
 using namespace qmpi;
-using classical::Hub;
-using classical::HubClient;
-using classical::RunConfig;
-using classical::WireReader;
 using classical::WireWriter;
 
-namespace {
-
-/// One-process hub hosting a real serial backend — the qmpirun launcher's
-/// quantum service in miniature, served on a background thread.
-struct SimHub {
-  SimHub() : hub(make_hub()), server([this] { hub->serve(); }) {}
-  ~SimHub() {
-    hub->stop();
-    server.join();
-  }
-
-  std::unique_ptr<Hub> make_hub() {
-    Hub::Services services;
-    services.reset = [this](const RunConfig& cfg) {
-      backend = sim::make_backend(sim::BackendKind::kSerial, cfg.seed, 1);
-    };
-    services.sim = [this](std::span<const std::byte> request) {
-      return apply_sim_request(*backend, request);
-    };
-    return std::make_unique<Hub>(1, 0, std::move(services));
-  }
-
-  std::unique_ptr<sim::Backend> backend;
-  std::unique_ptr<Hub> hub;
-  std::thread server;
-};
-
-/// Applies a deterministic little circuit and returns everything a program
-/// could observe about it (measurements, probabilities, expectations).
-std::vector<double> drive_circuit(sim::SimClient& sim) {
-  std::vector<double> observed;
-  const auto q = sim.allocate(3);
-  sim.apply(sim::gate_h(), q[0]);
-  sim.cnot(q[0], q[1]);
-  sim.apply(sim::gate_ry(0.3), q[2]);
-  sim.cz(q[1], q[2]);
-  sim.toffoli(q[0], q[1], q[2]);
-  observed.push_back(sim.probability_one(q[2]));
-  const std::vector<std::pair<sim::QubitId, char>> zz = {{q[0], 'Z'},
-                                                         {q[1], 'Z'}};
-  observed.push_back(sim.expectation(zz));
-  observed.push_back(sim.measure(q[0]) ? 1.0 : 0.0);
-  observed.push_back(sim.measure(q[1]) ? 1.0 : 0.0);
-  observed.push_back(sim.measure_x(q[2]) ? 1.0 : 0.0);
-  sim.apply(sim::gate_h(), q[2]);  // undo any X-basis residue deterministically
-  observed.push_back(static_cast<double>(sim.num_qubits()));
-  return observed;
-}
-
-}  // namespace
-
-TEST(SimWireBatch, BatchedStreamIsObservablyIdenticalToUnbatched) {
-  SimHub sh;
-  HubClient client("127.0.0.1", sh.hub->port(), 0);
-  RunConfig cfg;
-  cfg.num_ranks = 1;
-  cfg.seed = 1234;
-
-  std::vector<std::vector<double>> results;
-  // 0 = pre-batching RPC-per-op; 1 = flush after every op; defaults.
-  for (const std::size_t batch_ops : {std::size_t{0}, std::size_t{1},
-                                      sim::kDefaultSimBatchOps}) {
-    client.begin_run(cfg);  // resets the backend: identical RNG each round
-    {
-      RemoteSimClient sim(client, batch_ops);
-      results.push_back(drive_circuit(sim));
-      sim.fence();
-      if (batch_ops > 0) EXPECT_GT(sim.batches_sent(), 0u);
-    }
-    (void)client.end_run({});
-  }
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
-}
-
-TEST(SimWireBatch, OversizedStreamSplitsIntoMultipleFramesInsteadOfFailing) {
-  SimHub sh;
-  HubClient client("127.0.0.1", sh.hub->port(), 0);
-  RunConfig cfg;
-  cfg.num_ranks = 1;
-  client.begin_run(cfg);
-  {
-    // An op cap high enough that only the byte cap can trigger a flush:
-    // the stream below encodes to several times kMaxSimBatchBytes, which
-    // must split into multiple kSimBatch frames well under the 64 MiB
-    // wire cap — never one frame that trips it.
-    RemoteSimClient sim(client, sim::kMaxSimBatchOps);
-    const auto q = sim.allocate(1);
-    const std::size_t kOps = 40000;  // ~80 bytes each: > 3 MiB encoded
-    for (std::size_t i = 0; i < kOps; ++i) sim.apply(sim::gate_x(), q[0]);
-    sim.fence();
-    EXPECT_GE(sim.batches_sent(), 3u);
-    EXPECT_EQ(sim.ops_batched(), kOps);
-    // Even op count: the qubit must be back in |0> — i.e. every one of
-    // the split batches actually executed, in order.
-    EXPECT_NEAR(sim.probability_one(q[0]), 0.0, 1e-12);
-  }
-  (void)client.end_run({});
-}
-
-TEST(SimWireBatch, MidBatchErrorIsAttributedAndStopsTheRestOfTheBatch) {
-  SimHub sh;
-  HubClient client("127.0.0.1", sh.hub->port(), 0);
-  RunConfig cfg;
-  cfg.num_ranks = 1;
-  client.begin_run(cfg);
-  {
-    RemoteSimClient sim(client, sim::kDefaultSimBatchOps);
-    const auto q = sim.allocate(2);
-    sim.apply(sim::gate_h(), q[0]);     // op 1: fine
-    sim.cnot(999999, q[1]);             // op 2: unknown qubit id
-    sim.apply(sim::gate_x(), q[1]);     // op 3: must never execute
-    try {
-      sim.fence();
-      FAIL() << "mid-batch error must surface at the fence";
-    } catch (const sim::SimulatorError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("batched op 2 of 3"), std::string::npos) << what;
-      EXPECT_NE(what.find("unknown qubit id"), std::string::npos) << what;
-    }
-    // The stream is broken for the rest of the run: further requests
-    // from this process report the root cause instead of executing.
-    try {
-      (void)sim.probability_one(q[1]);
-      FAIL() << "requests behind a failed batch must report the failure";
-    } catch (const sim::SimulatorError& e) {
-      EXPECT_NE(std::string(e.what()).find("batched op 2 of 3"),
-                std::string::npos)
-          << e.what();
-    }
-    // The batch stopped at op 2: op 3's X never ran, so q[1] is still
-    // |0> (inspected directly on the hub-side backend).
-    EXPECT_NEAR(sh.backend->probability_one(q[1]), 0.0, 1e-12);
-  }
-  (void)client.end_run({});
-}
-
-TEST(SimWireBatch, BatchesAfterAFailedBatchAreDroppedNotExecuted) {
-  SimHub sh;
-  HubClient client("127.0.0.1", sh.hub->port(), 0);
-  RunConfig cfg;
-  cfg.num_ranks = 1;
-  client.begin_run(cfg);
-  {
-    // Two-op batches: the failure lands in batch 1; batch 2 is posted
-    // before the error notice can possibly arrive and must be dropped by
-    // the hub, or its ops would execute "after" the failure.
-    RemoteSimClient sim(client, 2);
-    const auto q = sim.allocate(1);
-    sim.apply(sim::gate_h(), 555555);   // batch 1 op 1: unknown qubit
-    sim.apply(sim::gate_h(), 555555);   // batch 1 op 2 (never reached)
-    sim.apply(sim::gate_x(), q[0]);     // batch 2: must be dropped
-    try {
-      (void)sim.measure(q[0]);
-      FAIL() << "the stream is broken; the measure must not execute";
-    } catch (const sim::SimulatorError& e) {
-      EXPECT_NE(std::string(e.what()).find("batched op 1 of 2"),
-                std::string::npos)
-          << e.what();
-    }
-    // Batch 2's X never ran: q[0] is still |0> at the backend.
-    EXPECT_NEAR(sh.backend->probability_one(q[0]), 0.0, 1e-12);
-  }
-  (void)client.end_run({});
-}
-
-TEST(SimWireBatch, NextRunStartsWithACleanStream) {
-  // A broken stream is scoped to its run: after the failed run ends and a
-  // new one begins (fresh backend), ops from the same process execute
-  // normally again.
-  SimHub sh;
-  HubClient client("127.0.0.1", sh.hub->port(), 0);
-  RunConfig cfg;
-  cfg.num_ranks = 1;
-  client.begin_run(cfg);
-  {
-    RemoteSimClient sim(client, sim::kDefaultSimBatchOps);
-    sim.apply(sim::gate_x(), 777777);  // breaks the stream
-    EXPECT_THROW(sim.fence(), sim::SimulatorError);
-  }
-  (void)client.end_run({});
-  client.begin_run(cfg);
-  {
-    RemoteSimClient sim(client, sim::kDefaultSimBatchOps);
-    const auto q = sim.allocate(1);
-    sim.apply(sim::gate_x(), q[0]);
-    EXPECT_NO_THROW(sim.fence());
-    EXPECT_NEAR(sim.probability_one(q[0]), 1.0, 1e-12);
-  }
-  (void)client.end_run({});
-}
-
-TEST(SimWireBatch, ErrorSurfacesAtNextReplyOpNotJustAtFence) {
-  SimHub sh;
-  HubClient client("127.0.0.1", sh.hub->port(), 0);
-  RunConfig cfg;
-  cfg.num_ranks = 1;
-  client.begin_run(cfg);
-  {
-    RemoteSimClient sim(client, sim::kDefaultSimBatchOps);
-    const auto q = sim.allocate(1);
-    sim.apply(sim::gate_x(), 424242);  // buffered; fails at the hub
-    // The next reply op both flushes the batch and (by connection FIFO)
-    // receives the deferred error before its own reply: the measurement
-    // result computed on broken state must never be returned.
-    EXPECT_THROW((void)sim.measure(q[0]), sim::SimulatorError);
-  }
-  (void)client.end_run({});
-}
-
-// ------------------------------------------------- hub-side decode guards ---
+// ---------------------------------------------------- decode guards ---
 
 TEST(SimWireBatch, ReplyProducingOpcodeInsideABatchIsRejected) {
   auto backend = sim::make_backend(sim::BackendKind::kSerial, 1, 1);

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "core/env.hpp"
 #include "core/qmpi.hpp"
 
 using namespace qmpi;
@@ -163,9 +162,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* transport = qmpi::env::get("QMPI_TRANSPORT");
-  const bool remote = transport != nullptr &&
-                      std::strcmp(transport, "tcp") == 0;
+  const bool remote =
+      JobOptions::from_env().transport == TransportKind::kTcp;
 
   // Warm up the transport (hub connection, first-run barriers) so the
   // timed runs measure the op stream, not job spin-up. One warm-up per

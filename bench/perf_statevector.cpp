@@ -711,22 +711,27 @@ void register_isa_series() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const char* env = qmpi::env::get("QMPI_SEED")) {
-    g_seed = std::strtoull(env, nullptr, 0);
-  }
   int parity_shards = -1;
   std::vector<char*> args;
   args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      g_seed = std::strtoull(argv[i] + 7, nullptr, 0);
-    } else if (std::strcmp(argv[i], "--paritycheck") == 0) {
-      parity_shards = 0;  // the full default ladder
-    } else if (std::strncmp(argv[i], "--paritycheck=", 14) == 0) {
-      parity_shards = std::atoi(argv[i] + 14);
-    } else {
-      args.push_back(argv[i]);
+  try {
+    // QMPI_SEED and --seed= parse by the settings table's QMPI_SEED form.
+    qmpi::env::assign(qmpi::env::Var::kSeed, g_seed);
+    for (int i = 1; i < argc; ++i) {
+      if (std::strncmp(argv[i], "--seed=", 7) == 0) {
+        g_seed = qmpi::env::parse(qmpi::env::Var::kSeed, argv[i] + 7,
+                                  "--seed");
+      } else if (std::strcmp(argv[i], "--paritycheck") == 0) {
+        parity_shards = 0;  // the full default ladder
+      } else if (std::strncmp(argv[i], "--paritycheck=", 14) == 0) {
+        parity_shards = std::atoi(argv[i] + 14);
+      } else {
+        args.push_back(argv[i]);
+      }
     }
+  } catch (const std::exception& e) {
+    std::cerr << "perf_statevector: " << e.what() << "\n";
+    return 2;
   }
   if (parity_shards == 0) {
     for (const unsigned s : {1U, 2U, 4U, 8U}) {

@@ -1,24 +1,11 @@
-// Seeded counter-examples for env-chokepoint and env-docs. The raw
-// getenv below must be flagged (this is not src/core/env.cpp), and the
-// env::get of an undocumented variable must be flagged (only
-// QMPI_DOCUMENTED appears in the fixture README).
+// Seeded counter-example for env-chokepoint: the raw getenv below must be
+// flagged (this is not src/core/env.cpp).
 #include <cstdlib>
-
-#include "core/env.hpp"
 
 namespace qmpi {
 
 const char* bad_raw_lookup() {
   return std::getenv("QMPI_SEED");  // VIOLATION: env-chokepoint
-}
-
-const char* undocumented_lookup() {
-  return env::get("QMPI_UNDOCUMENTED");  // VIOLATION: env-docs
-}
-
-const char* documented_lookup() {
-  // Clean decoy: routed through the chokepoint AND in the README table.
-  return env::get("QMPI_DOCUMENTED");
 }
 
 }  // namespace qmpi

@@ -10,7 +10,7 @@ namespace qmpi::sim {
 class FixturePool {
  public:
   void poke() {
-    const std::lock_guard lock(mu_);  // also naked-sync; same file
+    const std::lock_guard lock(mu_);  // VIOLATION: naked-sync
   }
 
  private:

@@ -4,9 +4,9 @@
 Four rules, each encoding a contract the compilers cannot check:
 
   env-chokepoint   Raw getenv() is banned outside src/core/env.cpp: every
-                   QMPI_* read must route through qmpi::env::get so the
-                   strict-parse / fail-loud policy (core/env.hpp) has no
-                   side doors.
+                   QMPI_* read must route through the settings table
+                   (qmpi::env::get, core/env.hpp) so the strict-parse /
+                   fail-loud policy has no side doors.
 
   naked-sync       std::mutex / std::lock_guard / std::unique_lock /
                    std::condition_variable / std::scoped_lock are banned
@@ -20,8 +20,11 @@ Four rules, each encoding a contract the compilers cannot check:
                    desynchronizes the framing; each such write must have a
                    check_u32_count() call within the preceding lines.
 
-  env-docs         Every QMPI_* variable read via env::get("...") must be
-                   documented in README.md.
+  env-docs         README.md's environment table and the settings table
+                   (the "QMPI_..." string literals of src/core/env.cpp)
+                   name the same variables: a table entry without a
+                   README row is missing, and a README row naming no
+                   table entry is stale.
 
 Usage:
   python3 scripts/lint/run_lints.py              # lint the repo; exit 1 on findings
@@ -29,9 +32,10 @@ Usage:
                                                  # on the seeded counter-examples
 
 The self-test runs the same engine over scripts/lint/fixtures/, a tiny
-fake tree seeded with one violation per rule plus clean decoys, and fails
-if any rule misses its counter-example or flags a decoy — so a regressed
-regex cannot silently turn the suite green.
+fake tree whose violating lines each carry a `VIOLATION: <rule>` marker
+next to clean decoys, and fails unless the findings are exactly the marked
+lines and every rule has at least one — so a regressed regex cannot
+silently turn the suite green.
 """
 
 from __future__ import annotations
@@ -135,8 +139,9 @@ def rule_env_chokepoint(path, rel, lines):
         if GETENV_RE.search(line):
             yield Finding(
                 "env-chokepoint", path, lineno,
-                "raw getenv() outside src/core/env.cpp; route the lookup "
-                "through qmpi::env::get (core/env.hpp)")
+                "raw getenv() outside src/core/env.cpp; add the variable "
+                "to the settings table and read it through qmpi::env::get "
+                "(core/env.hpp)")
 
 
 NAKED_SYNC_RE = re.compile(
@@ -183,25 +188,39 @@ def rule_wire_narrowing(path, rel, lines):
             "lines; a count above 2^32-1 would silently truncate")
 
 
-ENV_READ_RE = re.compile(r"env\s*::\s*get\s*\(\s*\"(QMPI_[A-Z0-9_]+)\"")
+ENV_TABLE = pathlib.PurePosixPath("src/core/env.cpp")
+ENV_TABLE_NAME_RE = re.compile(r"\"(QMPI_[A-Z0-9_]+)\"")
+README_ROW_RE = re.compile(r"^\|\s*`(QMPI_[A-Z0-9_]+)`")
 
 
 def rule_env_docs(root, files_and_lines):
-    readme = root / "README.md"
-    readme_text = readme.read_text(encoding="utf-8") if readme.is_file() else ""
-    seen: set[str] = set()
-    for path, _rel, lines in files_and_lines:
+    table: dict[str, tuple[pathlib.Path, int]] = {}
+    for path, rel, lines in files_and_lines:
+        if rel != ENV_TABLE:
+            continue
         for lineno, line in enumerate(lines, start=1):
-            for m in ENV_READ_RE.finditer(line):
-                var = m.group(1)
-                if var in seen:
-                    continue
-                seen.add(var)
-                if var not in readme_text:
-                    yield Finding(
-                        "env-docs", path, lineno,
-                        f"{var} is read from the environment but never "
-                        "documented in README.md")
+            for m in ENV_TABLE_NAME_RE.finditer(line):
+                table.setdefault(m.group(1), (path, lineno))
+    readme = root / "README.md"
+    rows: dict[str, int] = {}
+    if readme.is_file():
+        text = readme.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            m = README_ROW_RE.match(line)
+            if m:
+                rows.setdefault(m.group(1), lineno)
+    for var, (path, lineno) in table.items():
+        if var not in rows:
+            yield Finding(
+                "env-docs", path, lineno,
+                f"{var} is in the settings table but has no row in "
+                "README.md's environment table")
+    for var, lineno in rows.items():
+        if var not in table:
+            yield Finding(
+                "env-docs", readme, lineno,
+                f"README.md documents {var}, which names no entry of the "
+                f"settings table ({ENV_TABLE})")
 
 
 # ----------------------------------------------------------------- driver ---
@@ -225,27 +244,37 @@ def run_lints(root: pathlib.Path) -> list[Finding]:
     return findings
 
 
+RULES = ("env-chokepoint", "naked-sync", "wire-narrowing", "env-docs")
+VIOLATION_RE = re.compile(r"VIOLATION: ([a-z-]+)")
+
+
 def self_test() -> int:
-    """Runs the engine over the seeded fixture tree and checks that exactly
-    the planted violations fire — no more (decoys stay clean), no fewer (a
-    regressed regex cannot go silently green)."""
+    """Runs the engine over the seeded fixture tree and checks that the
+    findings are exactly the lines marked `VIOLATION: <rule>` — no more
+    (decoys stay clean), no fewer (a regressed regex cannot go silently
+    green) — and that every rule has a marked line."""
     fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
-    expected = {
-        ("env-chokepoint", "src/core/context.cpp"),
-        ("naked-sync", "src/sim/pool.hpp"),
-        ("wire-narrowing", "src/core/encode.cpp"),
-        ("env-docs", "src/core/context.cpp"),
-    }
-    got = {(f.rule, f.path.relative_to(fixtures).as_posix())
+    expected = set()
+    for path in sorted(p for p in fixtures.rglob("*") if p.is_file()):
+        rel = path.relative_to(fixtures).as_posix()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for lineno, line in enumerate(lines, start=1):
+            for m in VIOLATION_RE.finditer(line):
+                expected.add((m.group(1), rel, lineno))
+    got = {(f.rule, f.path.relative_to(fixtures).as_posix(), f.line)
            for f in run_lints(fixtures)}
     ok = True
-    for rule, rel in sorted(expected - got):
-        print(f"self-test FAIL: rule {rule} missed the seeded "
-              f"counter-example in {rel}", file=sys.stderr)
+    for rule in sorted(set(RULES) - {rule for rule, _, _ in expected}):
+        print(f"self-test FAIL: rule {rule} has no seeded counter-example",
+              file=sys.stderr)
         ok = False
-    for rule, rel in sorted(got - expected):
+    for rule, rel, line in sorted(expected - got):
+        print(f"self-test FAIL: rule {rule} missed the seeded "
+              f"counter-example at {rel}:{line}", file=sys.stderr)
+        ok = False
+    for rule, rel, line in sorted(got - expected):
         print(f"self-test FAIL: rule {rule} fired on clean fixture code "
-              f"in {rel}", file=sys.stderr)
+              f"at {rel}:{line}", file=sys.stderr)
         ok = False
     if ok:
         print(f"self-test OK: {len(expected)} seeded violations caught, "

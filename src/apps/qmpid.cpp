@@ -17,16 +17,16 @@
 // Clients connect with QMPI_TRANSPORT=service and QMPI_SERVICE_PORT=<P>
 // (see docs/ARCHITECTURE.md §9). Environment defaults: QMPI_MAX_SESSIONS,
 // QMPI_MEM_BUDGET, QMPI_CIRCUIT_CACHE, QMPI_SERVICE_EXECUTORS; flags
-// override the environment.
+// override the environment. A flag parses by its variable's row of the
+// settings table (core/env.hpp): "+8", " 8" or "8 " is a usage error.
 
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <cstdint>
 
+#include "core/env.hpp"
 #include "service/job_service.hpp"
 
 namespace {
@@ -42,23 +42,11 @@ int usage(const char* argv0) {
       " (QMPI_MEM_BUDGET)\n"
       "  --cache <n|on|off>  compiled-circuit cache entries"
       " (QMPI_CIRCUIT_CACHE)\n"
-      "  --executors <n>     executor threads (QMPI_SERVICE_EXECUTORS)\n",
+      "  --executors <n>     executor threads (QMPI_SERVICE_EXECUTORS)\n"
+      "A flag accepts exactly what its variable accepts (README.md's\n"
+      "environment table) and overrides it.\n",
       argv0);
   return 2;
-}
-
-/// Strict decimal parse (same fail-loud contract as qmpirun's flags).
-bool parse_u64(const char* text, unsigned long long min,
-               unsigned long long max, unsigned long long* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < min || v > max ||
-      text[0] == '-') {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 volatile std::sig_atomic_t g_stop_requested = 0;
@@ -76,62 +64,26 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  for (int argi = 1; argi < argc;) {
-    unsigned long long v = 0;
-    if (std::strcmp(argv[argi], "--port") == 0 && argi + 1 < argc) {
-      if (!parse_u64(argv[argi + 1], 0, 65535, &v)) {
-        std::fprintf(stderr, "qmpid: --port \"%s\" is not a TCP port\n",
-                     argv[argi + 1]);
-        return usage(argv[0]);
-      }
-      cfg.port = static_cast<std::uint16_t>(v);
-      argi += 2;
-    } else if (std::strcmp(argv[argi], "--max-sessions") == 0 &&
-               argi + 1 < argc) {
-      if (!parse_u64(argv[argi + 1], 1, 1u << 16, &v)) {
-        std::fprintf(stderr,
-                     "qmpid: --max-sessions \"%s\" is not a session count\n",
-                     argv[argi + 1]);
-        return usage(argv[0]);
-      }
-      cfg.max_sessions = static_cast<std::size_t>(v);
-      argi += 2;
-    } else if (std::strcmp(argv[argi], "--mem-budget") == 0 &&
-               argi + 1 < argc) {
-      if (!parse_u64(argv[argi + 1], 1, ~0ull, &v)) {
-        std::fprintf(stderr,
-                     "qmpid: --mem-budget \"%s\" is not a byte count\n",
-                     argv[argi + 1]);
-        return usage(argv[0]);
-      }
-      cfg.mem_budget_bytes = v;
-      argi += 2;
-    } else if (std::strcmp(argv[argi], "--cache") == 0 && argi + 1 < argc) {
-      if (std::strcmp(argv[argi + 1], "on") == 0) {
-        cfg.circuit_cache_entries = qmpi::sim::kDefaultCircuitCacheEntries;
-      } else if (std::strcmp(argv[argi + 1], "off") == 0) {
-        cfg.circuit_cache_entries = 0;
-      } else if (parse_u64(argv[argi + 1], 1, 1u << 24, &v)) {
-        cfg.circuit_cache_entries = static_cast<std::size_t>(v);
-      } else {
-        std::fprintf(stderr, "qmpid: --cache \"%s\" is not a cache size\n",
-                     argv[argi + 1]);
-        return usage(argv[0]);
-      }
-      argi += 2;
-    } else if (std::strcmp(argv[argi], "--executors") == 0 &&
-               argi + 1 < argc) {
-      if (!parse_u64(argv[argi + 1], 1, 256, &v)) {
-        std::fprintf(stderr,
-                     "qmpid: --executors \"%s\" is not a thread count\n",
-                     argv[argi + 1]);
-        return usage(argv[0]);
-      }
-      cfg.executors = static_cast<unsigned>(v);
-      argi += 2;
-    } else {
+  using qmpi::env::Var;
+  for (int argi = 1; argi < argc; argi += 2) {
+    const qmpi::env::Setting* flag = qmpi::env::find_flag(argv[argi]);
+    if (flag == nullptr || flag->var == Var::kProcs || argi + 1 >= argc) {
       std::fprintf(stderr, "qmpid: unknown argument \"%s\"\n", argv[argi]);
       return usage(argv[0]);
+    }
+    std::uint64_t v = 0;
+    try {
+      v = qmpi::env::parse(flag->var, argv[argi + 1], flag->flag);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "qmpid: %s\n", e.what());
+      return usage(argv[0]);
+    }
+    if (flag->var == Var::kPort) cfg.port = static_cast<std::uint16_t>(v);
+    if (flag->var == Var::kMaxSessions) cfg.max_sessions = v;
+    if (flag->var == Var::kMemBudget) cfg.mem_budget_bytes = v;
+    if (flag->var == Var::kCircuitCache) cfg.circuit_cache_entries = v;
+    if (flag->var == Var::kServiceExecutors) {
+      cfg.executors = static_cast<unsigned>(v);
     }
   }
 

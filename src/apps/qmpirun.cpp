@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "classical/socket_transport.hpp"
+#include "core/env.hpp"
 #include "sim/backend.hpp"
 
 namespace {
@@ -45,45 +46,30 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Strict decimal parse (same fail-loud contract as the QMPI_* env vars):
-/// trailing garbage like "4x" or "1e2" must be rejected, not truncated.
-bool parse_long(const char* text, long min, long max, long* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < min || v > max) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  long nprocs = -1;
-  long port = 0;
+  // -n and --port parse by their rows of the settings table
+  // (core/env.hpp), like the QMPI_* variables: "+2" is a usage error.
+  using qmpi::env::Var;
+  std::uint64_t nprocs = 0;
+  std::uint64_t port = 0;
   int argi = 1;
-  while (argi < argc) {
-    if (std::strcmp(argv[argi], "-n") == 0 && argi + 1 < argc) {
-      if (!parse_long(argv[argi + 1], 1, 4096, &nprocs)) {
-        std::fprintf(stderr, "qmpirun: -n \"%s\" is not a process count\n",
-                     argv[argi + 1]);
-        return usage(argv[0]);
-      }
-      argi += 2;
-    } else if (std::strcmp(argv[argi], "--port") == 0 && argi + 1 < argc) {
-      if (!parse_long(argv[argi + 1], 0, 65535, &port)) {
-        std::fprintf(stderr, "qmpirun: --port \"%s\" is not a TCP port\n",
-                     argv[argi + 1]);
-        return usage(argv[0]);
-      }
-      argi += 2;
-    } else {
+  for (; argi + 1 < argc; argi += 2) {
+    const qmpi::env::Setting* flag = qmpi::env::find_flag(argv[argi]);
+    if (flag == nullptr ||
+        (flag->var != Var::kProcs && flag->var != Var::kPort)) {
       break;
     }
+    try {
+      (flag->var == Var::kProcs ? nprocs : port) =
+          qmpi::env::parse(flag->var, argv[argi + 1], flag->flag);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "qmpirun: %s\n", e.what());
+      return usage(argv[0]);
+    }
   }
-  if (nprocs < 1 || argi >= argc) {
+  if (nprocs == 0 || argi >= argc) {
     return usage(argv[0]);
   }
 

@@ -5,7 +5,6 @@
 #include <bit>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "classical/socket_transport.hpp"
@@ -15,7 +14,6 @@
 #include "service/session_client.hpp"
 #include "sim/circuit_cache.hpp"
 #include "sim/sharded_statevector.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace qmpi {
 
@@ -538,110 +536,23 @@ ResourceTracker::Counts Context::aggregate_total() {
 
 // ------------------------------------------------------------ job harness ---
 
-namespace {
-using env::parse_env_number;
-}  // namespace
-
 JobOptions JobOptions::from_env() { return from_env(JobOptions{}); }
 
 JobOptions JobOptions::from_env(JobOptions base) {
-  if (const char* seed = env::get("QMPI_SEED")) {
-    base.seed = parse_env_number("QMPI_SEED", seed, /*allow_zero=*/true);
-  }
-  if (const char* backend = env::get("QMPI_BACKEND")) {
-    sim::BackendKind kind;
-    if (!sim::backend_kind_from_string(backend, kind)) {
-      throw QmpiError(std::string("QMPI_BACKEND=\"") + backend +
-                      "\" is not a backend (use \"serial\", \"sharded\", or "
-                      "\"distributed\")");
-    }
-    base.backend = kind;
-  }
-  if (const char* shards = env::get("QMPI_SHARDS")) {
-    base.num_shards = static_cast<unsigned>(parse_env_number(
-        "QMPI_SHARDS", shards, /*allow_zero=*/false, sim::kMaxShards));
-    // Reject bad shard counts at parse time: deferring to backend
-    // construction would only trip when the sharded backend is actually
-    // selected, silently accepting the typo on serial runs.
-    if (!std::has_single_bit(base.num_shards)) {
-      throw QmpiError(std::string("QMPI_SHARDS=\"") + shards +
-                      "\" must be a power of two <= " +
-                      std::to_string(sim::kMaxShards));
-    }
-  }
-  if (const char* threads = env::get("QMPI_SIM_THREADS")) {
-    base.sim_threads = static_cast<unsigned>(
-        parse_env_number("QMPI_SIM_THREADS", threads, /*allow_zero=*/false,
-                         sim::ThreadPool::kMaxLanes));
-  }
-  if (const char* transport = env::get("QMPI_TRANSPORT")) {
-    const std::string_view t(transport);
-    if (t == "inproc") {
-      base.transport = TransportKind::kInproc;
-    } else if (t == "tcp") {
-      base.transport = TransportKind::kTcp;
-    } else if (t == "service") {
-      base.transport = TransportKind::kService;
-    } else {
-      throw QmpiError(std::string("QMPI_TRANSPORT=\"") + transport +
-                      "\" is not a transport (use \"inproc\", \"tcp\", or "
-                      "\"service\")");
-    }
-  }
-  if (const char* batch = env::get("QMPI_SIM_BATCH")) {
-    base.sim_batch_ops = static_cast<std::size_t>(env::parse_env_count_switch(
-        "QMPI_SIM_BATCH", batch, sim::kDefaultSimBatchOps,
-        sim::kMaxSimBatchOps));
-  }
-  if (const char* p2p = env::get("QMPI_P2P")) {
-    const std::string_view p(p2p);
-    if (p == "on") {
-      base.p2p = true;
-    } else if (p == "off") {
-      base.p2p = false;
-    } else {
-      throw QmpiError(std::string("QMPI_P2P=\"") + p2p +
-                      "\" is not a peer-to-peer mode (use \"on\" or \"off\")");
-    }
-  }
-  if (const char* host = env::get("QMPI_P2P_HOST")) {
-    // Same strict contract as every QMPI_* var: set-but-empty is a typo to
-    // reject loudly, not a silent fallback to loopback.
-    if (*host == '\0') {
-      throw QmpiError(
-          "QMPI_P2P_HOST is set but empty (give the address peers should "
-          "dial, e.g. this node's reachable IP)");
-    }
-    base.p2p_host = host;
-  }
-  if (const char* simd = env::get("QMPI_SIMD")) {
-    if (!sim::simd::parse_request(simd, base.simd)) {
-      throw QmpiError(std::string("QMPI_SIMD=\"") + simd +
-                      "\" is not a SIMD tier (use \"auto\", \"scalar\", "
-                      "\"avx2\", or \"avx512\")");
-    }
-  }
-  if (const char* host = env::get("QMPI_SERVICE_HOST")) {
-    if (*host == '\0') {
-      throw QmpiError(
-          "QMPI_SERVICE_HOST is set but empty (give the address qmpid "
-          "listens on)");
-    }
-    base.service_host = host;
-  }
-  if (const char* port = env::get("QMPI_SERVICE_PORT")) {
-    base.service_port = static_cast<std::uint16_t>(parse_env_number(
-        "QMPI_SERVICE_PORT", port, /*allow_zero=*/false, 65535));
-  }
-  if (const char* qubits = env::get("QMPI_SERVICE_QUBITS")) {
-    base.service_qubits = static_cast<unsigned>(parse_env_number(
-        "QMPI_SERVICE_QUBITS", qubits, /*allow_zero=*/false, 62));
-  }
-  if (const char* cache = env::get("QMPI_CIRCUIT_CACHE")) {
-    base.circuit_cache = static_cast<std::size_t>(env::parse_env_count_switch(
-        "QMPI_CIRCUIT_CACHE", cache, sim::kDefaultCircuitCacheEntries,
-        sim::kMaxCircuitCacheEntries));
-  }
+  using env::Var;
+  env::assign(Var::kSeed, base.seed);
+  env::assign(Var::kBackend, base.backend);
+  env::assign(Var::kShards, base.num_shards);
+  env::assign(Var::kSimThreads, base.sim_threads);
+  env::assign(Var::kTransport, base.transport);
+  env::assign(Var::kSimBatch, base.sim_batch_ops);
+  env::assign(Var::kP2p, base.p2p);
+  env::assign(Var::kP2pHost, base.p2p_host);
+  env::assign(Var::kSimd, base.simd);
+  env::assign(Var::kServiceHost, base.service_host);
+  env::assign(Var::kServicePort, base.service_port);
+  env::assign(Var::kServiceQubits, base.service_qubits);
+  env::assign(Var::kCircuitCache, base.circuit_cache);
   return base;
 }
 
@@ -732,23 +643,18 @@ Placement place_service(const JobOptions& options, sim::BackendKind backend) {
 /// (the hub brackets each run with its own begin/end barriers).
 classical::HubClient& tcp_hub_client() {
   static std::unique_ptr<classical::HubClient> client = [] {
-    const char* port_text = env::get("QMPI_TCP_PORT");
-    if (port_text == nullptr) {
+    const auto port = env::get(env::Var::kTcpPort);
+    if (!port) {
       throw QmpiError(
           "QMPI_TRANSPORT=tcp requires QMPI_TCP_PORT (qmpirun sets it; for "
           "a manual launch export the hub's port)");
     }
-    const auto port = static_cast<std::uint16_t>(
-        parse_env_number("QMPI_TCP_PORT", port_text, /*allow_zero=*/false,
-                         65535));
-    const char* host = env::get("QMPI_TCP_HOST");
+    const char* host = env::get_address(env::Var::kTcpHost);
     int proc_id = 0;
-    if (const char* proc_text = env::get("QMPI_PROC_ID")) {
-      proc_id = static_cast<int>(parse_env_number(
-          "QMPI_PROC_ID", proc_text, /*allow_zero=*/true, 65535));
-    }
+    env::assign(env::Var::kProcId, proc_id);
     return std::make_unique<classical::HubClient>(
-        host != nullptr ? host : "127.0.0.1", port, proc_id);
+        host != nullptr ? host : "127.0.0.1",
+        static_cast<std::uint16_t>(*port), proc_id);
   }();
   return *client;
 }

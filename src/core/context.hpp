@@ -597,12 +597,10 @@ struct JobOptions {
   /// this never changes results.
   std::size_t circuit_cache = 0;
 
-  /// Applies QMPI_SEED / QMPI_BACKEND / QMPI_SHARDS / QMPI_SIM_THREADS /
-  /// QMPI_TRANSPORT / QMPI_SIM_BATCH / QMPI_P2P / QMPI_P2P_HOST /
-  /// QMPI_SIMD / QMPI_SERVICE_HOST / QMPI_SERVICE_PORT /
-  /// QMPI_SERVICE_QUBITS / QMPI_CIRCUIT_CACHE environment overrides on
-  /// top of `base`, so any benchmark or example binary is reproducible
-  /// and backend/transport-selectable from the command line without
+  /// Applies the QMPI_* overrides of the fields above (each parsed and
+  /// bounded by the settings table, core/env.hpp) on top of `base`, so
+  /// any benchmark or example binary is reproducible and
+  /// backend/transport-selectable from the command line without
   /// recompiling.
   static JobOptions from_env();
   static JobOptions from_env(JobOptions base);

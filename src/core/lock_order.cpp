@@ -4,7 +4,6 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -52,23 +51,12 @@ State& state() {
 std::atomic<int> g_enabled{-1};
 
 bool resolve_enabled() {
-  int on;
 #ifdef NDEBUG
-  on = 0;
+  int on = 0;
 #else
-  on = 1;
+  int on = 1;
 #endif
-  if (const char* text = env::get("QMPI_LOCK_CHECK")) {
-    const std::string_view v(text);
-    if (v == "on" || v == "1") {
-      on = 1;
-    } else if (v == "off" || v == "0") {
-      on = 0;
-    } else {
-      throw QmpiError(std::string("QMPI_LOCK_CHECK=\"") + text +
-                      "\" is not a lock-check mode (use \"on\" or \"off\")");
-    }
-  }
+  env::assign(env::Var::kLockCheck, on);
   int expected = -1;
   g_enabled.compare_exchange_strong(expected, on);
   return g_enabled.load(std::memory_order_relaxed) == 1;

@@ -39,24 +39,10 @@ constexpr std::uint32_t kMaxSessionQubits = 62;
 
 ServiceConfig ServiceConfig::from_env() {
   ServiceConfig cfg;
-  if (const char* text = env::get("QMPI_MAX_SESSIONS")) {
-    cfg.max_sessions = static_cast<std::size_t>(env::parse_env_number(
-        "QMPI_MAX_SESSIONS", text, /*allow_zero=*/false, 1u << 16));
-  }
-  if (const char* text = env::get("QMPI_MEM_BUDGET")) {
-    cfg.mem_budget_bytes =
-        env::parse_env_number("QMPI_MEM_BUDGET", text, /*allow_zero=*/false);
-  }
-  if (const char* text = env::get("QMPI_CIRCUIT_CACHE")) {
-    cfg.circuit_cache_entries =
-        static_cast<std::size_t>(env::parse_env_count_switch(
-            "QMPI_CIRCUIT_CACHE", text, sim::kDefaultCircuitCacheEntries,
-            sim::kMaxCircuitCacheEntries));
-  }
-  if (const char* text = env::get("QMPI_SERVICE_EXECUTORS")) {
-    cfg.executors = static_cast<unsigned>(env::parse_env_number(
-        "QMPI_SERVICE_EXECUTORS", text, /*allow_zero=*/false, 256));
-  }
+  env::assign(env::Var::kMaxSessions, cfg.max_sessions);
+  env::assign(env::Var::kMemBudget, cfg.mem_budget_bytes);
+  env::assign(env::Var::kCircuitCache, cfg.circuit_cache_entries);
+  env::assign(env::Var::kServiceExecutors, cfg.executors);
   return cfg;
 }
 

@@ -330,22 +330,6 @@ const char* to_string(BackendKind kind) {
   return "?";
 }
 
-bool backend_kind_from_string(std::string_view text, BackendKind& out) {
-  if (text == "serial") {
-    out = BackendKind::kSerial;
-    return true;
-  }
-  if (text == "sharded") {
-    out = BackendKind::kSharded;
-    return true;
-  }
-  if (text == "distributed") {
-    out = BackendKind::kDistributed;
-    return true;
-  }
-  return false;
-}
-
 std::unique_ptr<Backend> make_backend(BackendKind kind, std::uint64_t seed,
                                       unsigned num_shards) {
   switch (kind) {

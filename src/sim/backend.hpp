@@ -12,7 +12,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -338,9 +337,6 @@ enum class BackendKind {
 };
 
 const char* to_string(BackendKind kind);
-
-/// Parses "serial" / "sharded" / "distributed"; returns false otherwise.
-bool backend_kind_from_string(std::string_view text, BackendKind& out);
 
 /// Constructs a backend of `kind`. `num_shards` (power of two) is only
 /// meaningful for BackendKind::kSharded.

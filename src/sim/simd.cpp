@@ -3,6 +3,7 @@
 #include <atomic>
 #include <utility>
 
+#include "classical/error.hpp"
 #include "core/env.hpp"
 #include "core/sync.hpp"
 #include "sim/backend.hpp"  // SimulatorError
@@ -407,12 +408,11 @@ Isa init_from_env() {
   const int already = g_active.load(std::memory_order_acquire);
   if (already >= 0) return static_cast<Isa>(already);
   Request request = Request::kAuto;
-  if (const char* text = env::get("QMPI_SIMD")) {
-    if (!parse_request(text, request)) {
-      throw SimulatorError(std::string("QMPI_SIMD=\"") + text +
-                           "\" is not a SIMD tier (use \"auto\", "
-                           "\"scalar\", \"avx2\", or \"avx512\")");
-    }
+  try {
+    env::assign(env::Var::kSimd, request);
+  } catch (const QmpiError& e) {
+    // Executor threads catch the simulator's own error type.
+    throw SimulatorError(e.what());
   }
   Selection sel = resolve(request);
   g_env_notice = std::move(sel.notice);
@@ -458,18 +458,9 @@ Isa best_available() {
 }
 
 bool parse_request(std::string_view text, Request& out) {
-  if (text == "auto") {
-    out = Request::kAuto;
-  } else if (text == "scalar") {
-    out = Request::kScalar;
-  } else if (text == "avx2") {
-    out = Request::kAvx2;
-  } else if (text == "avx512") {
-    out = Request::kAvx512;
-  } else {
-    return false;
-  }
-  return true;
+  const auto v = env::word_value(env::Var::kSimd, text);
+  if (v) out = static_cast<Request>(*v);
+  return v.has_value();
 }
 
 Selection resolve(Request request) {

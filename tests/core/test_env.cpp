@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "core/context.hpp"
+#include "core/env.hpp"
 #include "service/job_service.hpp"
 #include "sim/circuit_cache.hpp"
 #include "sim/sharded_statevector.hpp"
@@ -20,8 +23,9 @@ using qmpi::TransportKind;
 
 namespace {
 
-/// Scoped setter for the QMPI_* variables; clears all of them on entry and
-/// exit so tests cannot leak state into each other (or inherit CI's).
+/// Scoped setter for the QMPI_* variables; clears every variable of the
+/// settings table on entry and exit so tests cannot leak state into each
+/// other (or inherit CI's).
 class EnvGuard {
  public:
   EnvGuard() { clear(); }
@@ -33,20 +37,9 @@ class EnvGuard {
 
  private:
   static void clear() {
-    unsetenv("QMPI_SEED");
-    unsetenv("QMPI_BACKEND");
-    unsetenv("QMPI_SHARDS");
-    unsetenv("QMPI_SIM_THREADS");
-    unsetenv("QMPI_TRANSPORT");
-    unsetenv("QMPI_SIM_BATCH");
-    unsetenv("QMPI_SIMD");
-    unsetenv("QMPI_SERVICE_HOST");
-    unsetenv("QMPI_SERVICE_PORT");
-    unsetenv("QMPI_SERVICE_QUBITS");
-    unsetenv("QMPI_CIRCUIT_CACHE");
-    unsetenv("QMPI_MAX_SESSIONS");
-    unsetenv("QMPI_MEM_BUDGET");
-    unsetenv("QMPI_SERVICE_EXECUTORS");
+    for (const qmpi::env::Setting& s : qmpi::env::settings()) {
+      if (s.name != nullptr) unsetenv(s.name);
+    }
   }
 };
 
@@ -360,4 +353,97 @@ TEST(EnvOptions, OverridesLayerOnTopOfBase) {
   EXPECT_EQ(opts.num_ranks, 7);       // untouched by env
   EXPECT_EQ(opts.sim_threads, 3u);    // no env override set
   EXPECT_EQ(opts.seed, 9u);           // env wins where set
+}
+
+namespace {
+
+namespace env = qmpi::env;
+
+/// Parses `text` as `s` reads it: from its variable through env::get when
+/// `flag` is false, else as its launcher flag through env::parse.
+std::uint64_t read_as(const env::Setting& s, bool flag, const char* text) {
+  if (flag) return env::parse(s.var, text, s.flag);
+  EnvGuard guard;
+  guard.set(s.name, text);
+  return env::get(s.var).value();
+}
+
+/// The decimal text of v + 1 (which may not fit in 64 bits).
+std::string plus_one(std::uint64_t v) {
+  if (v == std::numeric_limits<std::uint64_t>::max()) {
+    return "18446744073709551616";
+  }
+  return std::to_string(v + 1);
+}
+
+}  // namespace
+
+TEST(EnvTable, EveryNumberAndFlagHoldsItsBounds) {
+  for (const env::Setting& s : env::settings()) {
+    if (s.form != env::Form::kNumber && s.form != env::Form::kSwitch) {
+      continue;
+    }
+    for (const bool flag : {false, true}) {
+      if ((flag ? s.flag : s.name) == nullptr) continue;
+      const std::string label = flag ? s.flag : s.name;
+      const auto accepts = [&](const std::string& text, std::uint64_t want) {
+        EXPECT_EQ(read_as(s, flag, text.c_str()), want)
+            << label << "=\"" << text << "\"";
+      };
+      const auto rejects = [&](const std::string& text) {
+        try {
+          read_as(s, flag, text.c_str());
+          ADD_FAILURE() << label << "=\"" << text << "\" was accepted";
+        } catch (const QmpiError& e) {
+          // The error names the variable or the flag, and the value.
+          EXPECT_EQ(std::string(e.what()).rfind(label + "=\"" + text +
+                                                    "\" is not ",
+                                                0),
+                    0u)
+              << e.what();
+        }
+      };
+      const std::string max = std::to_string(s.max);
+      accepts(std::to_string(s.min), s.min);
+      accepts(max, s.max);
+      if (s.min > 0) rejects(std::to_string(s.min - 1));
+      rejects(plus_one(s.max));
+      rejects("+" + max);
+      rejects(" " + max);
+      rejects(max + " ");
+      // Leading zeros are decimal, never octal.
+      if (s.min <= 10 && 10 <= s.max && !s.power_of_two) {
+        accepts("010", 10);
+      } else {
+        rejects("010");
+      }
+    }
+  }
+}
+
+TEST(EnvTable, EveryWordAndAddressParses) {
+  for (const env::Setting& s : env::settings()) {
+    if (s.form == env::Form::kWord) {
+      for (const env::Word& w : s.words) {
+        EXPECT_EQ(env::parse(s.var, w.text), w.value) << s.name;
+        const std::string padded = std::string(w.text) + " ";
+        EXPECT_THROW(env::parse(s.var, padded.c_str()), QmpiError)
+            << s.name << "=\"" << padded << "\"";
+      }
+      EXPECT_THROW(env::parse(s.var, ""), QmpiError) << s.name;
+    } else if (s.form == env::Form::kAddress) {
+      EXPECT_NO_THROW(env::parse(s.var, "10.0.0.7")) << s.name;
+      EXPECT_THROW(env::parse(s.var, ""), QmpiError) << s.name;
+    }
+  }
+}
+
+TEST(EnvTable, BackendWordsMapToTheirKinds) {
+  EnvGuard env;
+  for (const auto kind :
+       {qmpi::sim::BackendKind::kSerial, qmpi::sim::BackendKind::kSharded,
+        qmpi::sim::BackendKind::kDistributed}) {
+    env.set("QMPI_BACKEND", qmpi::sim::to_string(kind));
+    EXPECT_EQ(JobOptions::from_env().backend, kind);
+  }
 }

@@ -383,8 +383,4 @@ TEST(ShardedIdentity, FactoryMakesBothKinds) {
       sim::make_backend(sim::BackendKind::kSharded, sim::kDefaultSeed, 4);
   EXPECT_STREQ(serial->name(), "serial");
   EXPECT_STREQ(sharded->name(), "sharded");
-  sim::BackendKind kind;
-  EXPECT_TRUE(sim::backend_kind_from_string("sharded", kind));
-  EXPECT_EQ(kind, sim::BackendKind::kSharded);
-  EXPECT_FALSE(sim::backend_kind_from_string("quantum", kind));
 }

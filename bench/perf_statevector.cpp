@@ -20,6 +20,9 @@
 // --paritycheck runs a random circuit on the serial StateVector and the
 // ShardedStateVector and exits non-zero unless every amplitude matches
 // with operator== on the raw doubles; CI uses it as the bench smoke gate.
+// The circuit mixes gates, measurements and ancilla cycles (allocate,
+// entangle, probability_one, measure, reset, deallocate_classical), so the
+// qubit life cycle is gated too.
 // The whole check repeats once per SIMD tier the host CPU supports
 // (scalar, AVX2, AVX-512 forced via simd::set_active), and the serial
 // snapshot must additionally be bit-identical *across* tiers — the
@@ -33,6 +36,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -488,7 +492,7 @@ bool parity_check(unsigned shards, std::uint64_t seed,
   std::mt19937_64 rng(seed ^ 0x9E3779B97F4A7C15ULL);
   std::uniform_real_distribution<double> angle(-3.0, 3.0);
   std::uniform_int_distribution<std::size_t> pick(0, kQubits - 1);
-  std::uniform_int_distribution<int> choice(0, 5);
+  std::uniform_int_distribution<int> choice(0, 6);
   for (int step = 0; step < 80; ++step) {
     const auto i = pick(rng);
     auto j = pick(rng);
@@ -523,7 +527,7 @@ bool parity_check(unsigned shards, std::uint64_t seed,
         unfused.cnot(qu[i], qu[j]);
         sharded.cnot(qt[i], qt[j]);
         break;
-      default: {
+      case 5: {
         const bool ms = serial.measure(qs[i]);
         const bool mu = unfused.measure(qu[i]);
         if (ms != sharded.measure(qt[i]) || ms != mu) {
@@ -531,6 +535,50 @@ bool parity_check(unsigned shards, std::uint64_t seed,
                     << " (shards=" << shards << ")\n";
           return false;
         }
+        break;
+      }
+      default: {
+        // Ancilla cycle, the shape of every EPR half: allocate, entangle
+        // from a random qubit, probe, measure, reset, free. Probabilities
+        // must match exactly across backends, within 1e-9 of unfused.
+        const auto as = serial.allocate(1).front();
+        const auto au = unfused.allocate(1).front();
+        const auto at = sharded.allocate(1).front();
+        double p[3][2];
+        p[0][0] = serial.probability_one(as);
+        p[1][0] = unfused.probability_one(au);
+        p[2][0] = sharded.probability_one(at);
+        serial.cnot(qs[i], as);
+        unfused.cnot(qu[i], au);
+        sharded.cnot(qt[i], at);
+        p[0][1] = serial.probability_one(as);
+        p[1][1] = unfused.probability_one(au);
+        p[2][1] = sharded.probability_one(at);
+        const bool ms = serial.measure(as);
+        const bool mu = unfused.measure(au);
+        const bool mt = sharded.measure(at);
+        for (int k = 0; k < 2; ++k) {
+          if (p[0][k] != p[2][k] || std::abs(p[0][k] - p[1][k]) > 1e-9) {
+            std::cerr << "paritycheck: ancilla probability diverged at step "
+                      << step << ": serial=" << p[0][k]
+                      << " unfused=" << p[1][k] << " sharded=" << p[2][k]
+                      << " (shards=" << shards << ")\n";
+            return false;
+          }
+        }
+        if (ms != mt || ms != mu) {
+          std::cerr << "paritycheck: ancilla measurement diverged at step "
+                    << step << " (shards=" << shards << ")\n";
+          return false;
+        }
+        if (ms) {
+          serial.x(as);
+          unfused.x(au);
+          sharded.x(at);
+        }
+        serial.deallocate_classical(as);
+        unfused.deallocate_classical(au);
+        sharded.deallocate_classical(at);
         break;
       }
     }

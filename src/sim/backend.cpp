@@ -21,6 +21,7 @@ std::vector<QubitId> Backend::allocate(std::size_t count) {
     const QubitId id = next_id_++;
     index_[id] = positions_.size();
     positions_.push_back(id);
+    basis_.push_back(0);
     grow_state();
     ids.push_back(id);
   }
@@ -49,9 +50,31 @@ void Backend::flush_gates() const {
   }
 }
 
+void Backend::flush_qubits(std::span<const QubitId> qubits) const {
+  for (;;) {
+    const std::vector<GateCluster> batch = fusion_.take_touching(qubits);
+    if (batch.empty()) return;
+    for (const GateCluster& cluster : batch) apply_cluster(cluster);
+  }
+}
+
+void Backend::track_gate(const Gate1Q& gate, std::size_t target,
+                         bool controlled) {
+  std::uint8_t& b = basis_[target];
+  const Complex zero(0.0, 0.0);
+  if (gate.m[1] == zero && gate.m[2] == zero) return;  // diagonal
+  if (b != kUnknownBasis && !controlled && gate.m[0] == zero &&
+      gate.m[3] == zero) {
+    b ^= 1U;  // antidiagonal: swaps the zero half with the other one
+    return;
+  }
+  b = kUnknownBasis;
+}
+
 void Backend::apply_cluster(const GateCluster& cluster) const {
   // Ids were validated at push time and every deallocation path flushes
-  // before removing a qubit, so all entries must still be live.
+  // the clusters touching a qubit before removing it, so all entries must
+  // still be live.
   if (cluster.num_ops() == 1) {
     const ClusterOp& op = cluster.ops().front();
     std::uint64_t ctrl_mask = 0;
@@ -109,11 +132,12 @@ void Backend::queue_gate(const Gate1Q& gate,
 }
 
 void Backend::remove_position(std::size_t pos, bool bit) {
-  flush_gates();
+  flush_qubits({&positions_[pos], 1});
   remove_position_state(pos, bit);
   // Fix the id<->position maps: qubits above `pos` shift down by one.
   index_.erase(positions_[pos]);
   positions_.erase(positions_.begin() + static_cast<std::ptrdiff_t>(pos));
+  basis_.erase(basis_.begin() + static_cast<std::ptrdiff_t>(pos));
   for (std::size_t p = pos; p < positions_.size(); ++p) {
     index_[positions_[p]] = p;
   }
@@ -121,27 +145,33 @@ void Backend::remove_position(std::size_t pos, bool bit) {
 
 void Backend::deallocate(QubitId qubit) {
   const std::size_t pos = position_checked(qubit);
-  flush_gates();
-  const double p1 = probability_one_at(pos);
-  if (p1 > kEps) {
-    throw SimulatorError(
-        "deallocating qubit " + std::to_string(qubit) +
-        " that is not in |0> (P[1]=" + std::to_string(p1) +
-        "); uncompute it first or use release()");
+  if (basis_[pos] != 0) {  // a known |0> needs no check
+    flush_qubits({&qubit, 1});
+    const double p1 = probability_one_at(pos);
+    if (p1 > kEps) {
+      throw SimulatorError(
+          "deallocating qubit " + std::to_string(qubit) +
+          " that is not in |0> (P[1]=" + std::to_string(p1) +
+          "); uncompute it first or use release()");
+    }
   }
   remove_position(pos, /*bit=*/false);
 }
 
 void Backend::deallocate_classical(QubitId qubit) {
   const std::size_t pos = position_checked(qubit);
-  flush_gates();
-  const double p1 = probability_one_at(pos);
-  if (p1 > kEps && p1 < 1.0 - kEps) {
-    throw SimulatorError("deallocating qubit " + std::to_string(qubit) +
-                         " that is in superposition (P[1]=" +
-                         std::to_string(p1) + ")");
+  bool bit = basis_[pos] == 1;
+  if (basis_[pos] == kUnknownBasis) {
+    flush_qubits({&qubit, 1});
+    const double p1 = probability_one_at(pos);
+    if (p1 > kEps && p1 < 1.0 - kEps) {
+      throw SimulatorError("deallocating qubit " + std::to_string(qubit) +
+                           " that is in superposition (P[1]=" +
+                           std::to_string(p1) + ")");
+    }
+    bit = p1 >= 0.5;
   }
-  remove_position(pos, /*bit=*/p1 >= 0.5);
+  remove_position(pos, bit);
 }
 
 bool Backend::release(QubitId qubit) {
@@ -153,6 +183,7 @@ bool Backend::release(QubitId qubit) {
 
 void Backend::apply(const Gate1Q& gate, QubitId target) {
   const std::size_t pos = position_checked(target);  // validate eagerly
+  track_gate(gate, pos, /*controlled=*/false);
   if (fusion_enabled_) {
     queue_gate(gate, {}, target);
     return;
@@ -172,6 +203,7 @@ void Backend::apply_controlled(const Gate1Q& gate,
     }
     mask |= 1ULL << cpos;
   }
+  track_gate(gate, tpos, !controls.empty());
   if (fusion_enabled_ && controls.size() + 1 <= kMaxFusedQubits) {
     queue_gate(gate, controls, target);
     return;
@@ -215,17 +247,19 @@ void Backend::apply_matrix(std::span<const Complex> matrix,
     }
     ctrl_mask |= bit;
   }
+  for (const std::size_t p : pos) basis_[p] = kUnknownBasis;
   flush_gates();
   apply_matrix_at(matrix, pos, ctrl_mask);
 }
 
 bool Backend::measure(QubitId qubit) {
   const std::size_t pos = position_checked(qubit);
-  flush_gates();
+  flush_qubits({&qubit, 1});
   const double p1 = probability_one_at(pos);
   std::uniform_real_distribution<double> dist(0.0, 1.0);
   const bool outcome = dist(rng_) < p1;
   collapse_at(pos, outcome, outcome ? p1 : 1.0 - p1);
+  basis_[pos] = outcome ? 1 : 0;
   return outcome;
 }
 
@@ -238,8 +272,16 @@ bool Backend::measure_x(QubitId qubit) {
 
 bool Backend::measure_parity(std::span<const QubitId> qubits) {
   std::uint64_t mask = 0;
-  for (const QubitId q : qubits) mask |= 1ULL << position_checked(q);
-  flush_gates();
+  for (const QubitId q : qubits) {
+    const std::uint64_t bit = 1ULL << position_checked(q);
+    if (mask & bit) {
+      throw SimulatorError("measure_parity: duplicate qubit " +
+                           std::to_string(q));
+    }
+    mask |= bit;
+  }
+  // The parity projector is diagonal: known basis values survive it.
+  flush_qubits(qubits);
   const double p_odd = parity_odd_probability(mask);
   std::uniform_real_distribution<double> dist(0.0, 1.0);
   const bool outcome = dist(rng_) < p_odd;
@@ -249,7 +291,10 @@ bool Backend::measure_parity(std::span<const QubitId> qubits) {
 
 double Backend::probability_one(QubitId qubit) const {
   const std::size_t pos = position_checked(qubit);
-  flush_gates();
+  // Every bit-1 amplitude of a known |0> is an exact zero, so the sum the
+  // hook would return is exactly 0.0 too.
+  if (basis_[pos] == 0) return 0.0;
+  flush_qubits({&qubit, 1});
   return probability_one_at(pos);
 }
 
@@ -259,8 +304,15 @@ Complex Backend::amplitude(std::span<const QubitId> order,
     throw SimulatorError("amplitude() needs exactly one bit per qubit");
   }
   std::uint64_t idx = 0;
+  std::uint64_t seen = 0;
   for (std::size_t k = 0; k < order.size(); ++k) {
-    if (bits[k]) idx |= 1ULL << position_checked(order[k]);
+    const std::uint64_t bit = 1ULL << position_checked(order[k]);
+    if (seen & bit) {
+      throw SimulatorError("amplitude: duplicate qubit " +
+                           std::to_string(order[k]));
+    }
+    seen |= bit;
+    if (bits[k]) idx |= bit;
   }
   flush_gates();
   return amplitude_at(idx);
@@ -302,6 +354,10 @@ double Backend::expectation(
 void Backend::apply_pauli_rotation(
     std::span<const std::pair<QubitId, char>> pauli, double t) {
   const PauliMasks masks = parse_pauli(pauli);
+  // X/Y factors mix each basis state with its flip; Z factors are diagonal.
+  for (std::size_t p = 0; p < basis_.size(); ++p) {
+    if ((masks.flip >> p) & 1ULL) basis_[p] = kUnknownBasis;
+  }
   flush_gates();
   pauli_rotation_masks(masks, t);
 }

@@ -100,8 +100,9 @@ class Backend {
   /// Applies a single-qubit gate. With fusion enabled (the default) the
   /// gate is queued into the cluster-fusion queue and merged with later
   /// gates on overlapping qubit sets; the O(2^n) sweep happens at the next
-  /// flush boundary (measurement, amplitude inspection, deallocation, or a
-  /// gate too big to fuse).
+  /// flush boundary that reaches it (a measurement, marginal or
+  /// deallocation of one of its qubits, amplitude inspection, or a gate
+  /// too big to fuse).
   void apply(const Gate1Q& gate, QubitId target);
 
   /// Applies `gate` on `target` controlled on all `controls` being |1>.
@@ -163,15 +164,19 @@ class Backend {
   /// Z x Z x ... x Z over `qubits` and returns the parity bit (1 = odd).
   /// Unlike per-qubit measurement this does NOT collapse superpositions
   /// within an eigenspace — the primitive behind cat-state assembly (Fig. 4).
+  /// A repeated qubit throws SimulatorError (Z·Z = I would silently drop
+  /// it from the observable).
   bool measure_parity(std::span<const QubitId> qubits);
 
   // ------------------------------------------------------- inspection ---
 
-  /// Probability that measuring `qubit` yields 1 (no collapse).
+  /// Probability that measuring `qubit` yields 1 (no collapse). A qubit
+  /// known to be |0> (see basis_) answers 0.0 without touching the state.
   double probability_one(QubitId qubit) const;
 
   /// Amplitude of the classical basis state given by `bits` (one bool per
-  /// currently allocated qubit, ordered by the ids in `order`).
+  /// currently allocated qubit, ordered by the ids in `order`, which must
+  /// name every qubit exactly once).
   Complex amplitude(std::span<const QubitId> order,
                     std::span<const bool> bits) const;
 
@@ -221,9 +226,9 @@ class Backend {
   }
 
   /// Applies all pending fused clusters to the state vector. Called
-  /// automatically at every boundary that observes the state; public so
-  /// benchmarks can time gate application itself. Loops until the queue is
-  /// quiescent, so a reentrant push can never be deferred past the flush.
+  /// automatically at every boundary that observes the whole state; public
+  /// so benchmarks can time gate application itself. Loops until the queue
+  /// is quiescent, so a reentrant push can never be deferred past the flush.
   void flush_gates() const;
 
   /// Number of gates currently queued across all pending clusters
@@ -251,8 +256,23 @@ class Backend {
 
   std::size_t position_checked(QubitId qubit) const;
 
-  /// Flushes, removes the (classical, = `bit`) qubit at logical `pos` from
-  /// the state, and repairs the id <-> position maps.
+  /// Applies the pending clusters that touch any of `qubits` — their light
+  /// cone — and leaves the rest queued. Pending clusters are pairwise
+  /// qubit-disjoint, so the ones left commute with any operation confined
+  /// to `qubits` (a projector, a marginal, the removal of a classical
+  /// qubit). Loops until none is left, like flush_gates().
+  void flush_qubits(std::span<const QubitId> qubits) const;
+
+  /// Records in basis_ what a gate on `target` does to the target's known
+  /// basis value: diagonal gates keep it, an uncontrolled antidiagonal
+  /// gate (X, Y) flips it, anything else clears it. Controls always keep
+  /// theirs.
+  void track_gate(const Gate1Q& gate, std::size_t target, bool controlled);
+
+  /// Flushes the light cone of the qubit at logical `pos`, removes that
+  /// (classical, = `bit`) qubit from the state, and repairs the
+  /// id <-> position maps. Clusters on other qubits stay pending: they are
+  /// keyed by id, not position.
   void remove_position(std::size_t pos, bool bit);
 
   /// Routes a fusible gate into the cluster queue and applies any clusters
@@ -268,8 +288,13 @@ class Backend {
 
   // ---------------------------------------------- representation hooks ---
   // All positions/masks/indices below are logical. Hooks are called with
-  // the fusion queue already flushed (except apply_at, which IS the flush
-  // target) and must produce results bit-identical to the serial backend.
+  // every pending cluster that touches the positions they read, collapse or
+  // remove already applied; clusters on other qubits may still be pending
+  // (they commute with the hook). Hooks over the whole state (amplitude_at,
+  // expectation_masks, pauli_rotation_masks, apply_matrix_at, norm_state,
+  // snapshot_state) run with the queue fully flushed. apply_at and
+  // apply_cluster_at ARE the flush targets. Every hook must produce results
+  // bit-identical to the serial backend.
 
   /// Appends a |0> tensor factor (the new qubit's logical position is
   /// num_qubits() - 1; the bookkeeping is already updated when called).
@@ -277,6 +302,7 @@ class Backend {
 
   /// Removes logical position `pos`, keeping the `bit` half. Called before
   /// the position maps are repaired, so num_qubits() is still the old n.
+  /// Only the clusters touching `pos` have been applied (see above).
   virtual void remove_position_state(std::size_t pos, bool bit) = 0;
 
   /// Applies a (possibly controlled) 2x2 unitary at logical position `pos`
@@ -319,6 +345,16 @@ class Backend {
   mutable FusionQueue fusion_;
   std::vector<QubitId> positions_;                  ///< logical pos -> id
   std::unordered_map<QubitId, std::size_t> index_;  ///< id -> logical pos
+
+  /// basis_ value of a qubit whose basis state is not known.
+  static constexpr std::uint8_t kUnknownBasis = 2;
+  /// Per logical position: 0 or 1 if the qubit is known to be in that Z
+  /// basis state (every amplitude with the other bit value is an exact
+  /// zero), kUnknownBasis otherwise. Set by allocate and measure, updated
+  /// in program order by track_gate, so it already accounts for gates
+  /// still pending in fusion_. Lets probability_one and the deallocations
+  /// skip a reduction whose answer is known.
+  std::vector<std::uint8_t> basis_;
   QubitId next_id_ = 1;
   std::mt19937_64 rng_;
   unsigned num_threads_ = 1;

@@ -122,6 +122,25 @@ std::vector<GateCluster> FusionQueue::take() {
   return std::exchange(pending_, {});
 }
 
+std::vector<GateCluster> FusionQueue::take_touching(
+    std::span<const std::uint64_t> qubits) {
+  std::vector<GateCluster> taken;
+  std::size_t kept = 0;
+  for (GateCluster& c : pending_) {
+    const bool hit = std::any_of(
+        qubits.begin(), qubits.end(),
+        [&c](std::uint64_t q) { return c.touches(q); });
+    if (hit) {
+      taken.push_back(std::move(c));
+    } else {
+      if (&pending_[kept] != &c) pending_[kept] = std::move(c);
+      ++kept;
+    }
+  }
+  pending_.resize(kept);
+  return taken;
+}
+
 void FusionQueue::push(const Gate1Q& gate,
                        std::span<const std::uint64_t> controls,
                        std::uint64_t target,

@@ -91,9 +91,13 @@ class GateCluster {
 /// Pending clusters are pairwise qubit-disjoint by construction (a gate
 /// overlapping several clusters merges them), so they commute and the
 /// insertion-order flush is deterministic and mathematically equivalent to
-/// program order. The queue is flushed before any operation that reads
-/// amplitudes or couples more qubits than a cluster can hold —
-/// measurement, expectation values, deallocation, oversized gates.
+/// program order. The queue is flushed in full before any operation that
+/// reads the whole state or couples more qubits than a cluster can hold —
+/// amplitudes, expectation values, snapshots, dense matrices, Pauli
+/// rotations, oversized gates. Operations on a few qubits — measurement,
+/// parity measurement, marginals, deallocation — take only the clusters
+/// that touch those qubits (take_touching): a projector or marginal on q
+/// commutes with any unitary on other qubits, so the rest keep fusing.
 class FusionQueue {
  public:
   /// Queues `gate`. Overlapping pending clusters are merged when the
@@ -117,6 +121,11 @@ class FusionQueue {
   /// silently deferred past the flush boundary (the bug the old drain()
   /// had).
   std::vector<GateCluster> take();
+
+  /// Moves out, in insertion order, only the pending clusters that touch
+  /// any of `qubits`; the others stay queued in order. Callers loop until
+  /// this returns empty, for the same reason they loop on take().
+  std::vector<GateCluster> take_touching(std::span<const std::uint64_t> qubits);
 
   void clear() { pending_.clear(); }
 

@@ -64,6 +64,7 @@ void ShardedStateVector::mark_partial_write() const {
 
 void ShardedStateVector::materialize(unsigned active) const {
   if (world_ == 1 || replicated_fresh_) return;
+  ++materializations_;
   // One tick for the whole gather: ticks advance identically on every rank
   // (the op stream is replayed in lockstep), so (slice, tick) uniquely
   // names each published slab across the run.

@@ -80,10 +80,13 @@ class ShardedStateVector : public Backend {
   /// White-box counters for tests and benchmarks. `cluster_sweeps` counts
   /// fused multi-op cluster applications; with the relabel policy on, a
   /// cluster whose qubits fit the local budget is pulled local first and
-  /// then sweeps with zero ShardMesh exchanges.
+  /// then sweeps with zero ShardMesh exchanges. `materializations` counts
+  /// full-replica gathers (materialize calls that moved slices; always 0
+  /// in-process).
   std::uint64_t exchange_sweeps() const { return exchange_sweeps_; }
   std::uint64_t relabel_swaps() const { return relabel_swaps_; }
   std::uint64_t cluster_sweeps() const { return cluster_sweeps_; }
+  std::uint64_t materializations() const { return materializations_; }
 
   /// Current number of local (intra-slice) qubit positions.
   std::size_t local_bits() const;
@@ -208,6 +211,7 @@ class ShardedStateVector : public Backend {
   mutable std::uint64_t exchange_sweeps_ = 0;
   mutable std::uint64_t relabel_swaps_ = 0;
   mutable std::uint64_t cluster_sweeps_ = 0;
+  mutable std::uint64_t materializations_ = 0;
   bool relabel_policy_ = true;
 };
 

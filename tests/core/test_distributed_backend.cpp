@@ -20,14 +20,17 @@
 
 #include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "classical/comm.hpp"
@@ -37,6 +40,7 @@
 #include "core/sim_dist.hpp"
 #include "sim/gates.hpp"
 #include "sim/shard_exchange.hpp"
+#include "sim/sharded_statevector.hpp"
 
 using namespace qmpi;
 using namespace qmpi::classical;
@@ -292,6 +296,114 @@ TEST(SliceAddressing, SingleProcessOwnsEverySlice) {
     const auto [begin, end] = sim::slice_block(1, 0, active);
     EXPECT_EQ(begin, 0u);
     EXPECT_EQ(end, active);
+  }
+}
+
+// ------------------------------------------------------ replica gathers ---
+
+namespace {
+
+/// A two-rank exchange fabric in one process: the slab, publish and
+/// consensus surfaces of the peer plane over shared maps, so two
+/// ShardedStateVector replicas on two threads behave like the replicas of
+/// a two-process distributed job, and their white-box counters can be read.
+class PairFabric {
+ public:
+  class Rank final : public sim::ExchangeProvider {
+   public:
+    Rank(PairFabric& f, unsigned rank) : f_(f), rank_(rank) {}
+    unsigned world() const override { return 2; }
+    unsigned rank() const override { return rank_; }
+    void post(unsigned dest, unsigned, sim::ShardMessage msg) override {
+      f_.put(f_.slabs_, {dest, msg.source, msg.tag},
+             std::move(msg.amplitudes));
+    }
+    sim::ShardMessage take(unsigned dest, unsigned source,
+                           std::uint64_t tag) override {
+      return {source, tag, f_.get(f_.slabs_, {dest, source, tag})};
+    }
+    void publish(unsigned slice, std::uint64_t tag,
+                 std::span<const sim::Complex> amps) override {
+      f_.put(f_.published_, {1 - rank_, slice, tag},
+             {amps.begin(), amps.end()});
+    }
+    std::vector<sim::Complex> take_published(unsigned slice,
+                                             std::uint64_t tag) override {
+      return f_.get(f_.published_, {rank_, slice, tag});
+    }
+    double scalar_consensus(std::uint64_t tag, double value) override {
+      if (rank_ == 0) {
+        f_.put(f_.scalars_, {0, 0, tag}, {sim::Complex(value, 0.0)});
+        return value;
+      }
+      return f_.get(f_.scalars_, {0, 0, tag}).front().real();
+    }
+    void fail(const std::string&) override {}
+
+   private:
+    PairFabric& f_;
+    unsigned rank_;
+  };
+
+ private:
+  using Key = std::tuple<unsigned, unsigned, std::uint64_t>;
+  using Store = std::map<Key, std::vector<sim::Complex>>;
+
+  void put(Store& store, Key key, std::vector<sim::Complex> amps) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      store[key] = std::move(amps);
+    }
+    cv_.notify_all();
+  }
+  std::vector<sim::Complex> get(Store& store, Key key) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return store.contains(key); });
+    auto node = store.extract(key);
+    return std::move(node.mapped());
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  Store slabs_;      ///< (dest slice, source slice, tag)
+  Store published_;  ///< (receiving rank, slice, tag)
+  Store scalars_;    ///< (0, 0, tag)
+};
+
+}  // namespace
+
+TEST(DistributedBackend, FreshQubitProbabilityAddsNoGather) {
+  // Each replica writes only its resident slices on a local gate, so the
+  // next whole-state reduction must gather. probability_one of a fresh
+  // qubit needs no reduction at all: its answer (exactly 0.0) is known.
+  PairFabric fabric;
+  std::uint64_t fresh_gathers[2] = {};
+  std::uint64_t reduce_gathers[2] = {};
+  double p_fresh[2] = {};
+  auto replica = [&](unsigned r) {
+    PairFabric::Rank exchange(fabric, r);
+    sim::ShardedStateVector sv(2, kSeed, &exchange);
+    const auto q = sv.allocate(4);
+    sv.h(q[0]);
+    sv.cnot(q[0], q[2]);
+    const sim::QubitId fresh = sv.allocate(1).front();
+    sv.rz(q[1], 0.3);
+    sv.flush_gates();  // resident-only write: the replica is now stale
+    std::uint64_t before = sv.materializations();
+    p_fresh[r] = sv.probability_one(fresh);
+    fresh_gathers[r] = sv.materializations() - before;
+    before = sv.materializations();
+    (void)sv.probability_one(q[2]);
+    reduce_gathers[r] = sv.materializations() - before;
+  };
+  std::thread peer(replica, 1U);
+  replica(0);
+  peer.join();
+  for (unsigned r = 0; r < 2; ++r) {
+    EXPECT_EQ(p_fresh[r], 0.0) << "rank " << r;
+    EXPECT_EQ(fresh_gathers[r], 0u) << "rank " << r;
+    // The counter does see a real reduction's gather.
+    EXPECT_EQ(reduce_gathers[r], 1u) << "rank " << r;
   }
 }
 

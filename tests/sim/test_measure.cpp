@@ -151,3 +151,20 @@ TEST(Measurement, SeedReproducibility) {
   };
   EXPECT_EQ(run_once(777), run_once(777));
 }
+
+TEST(Measurement, RepeatedQubitIdsAreRejected) {
+  // Z·Z = I: a doubled id would otherwise OR into one mask bit and measure
+  // Z_q instead of the identity. amplitude() would silently ignore the
+  // qubit the duplicate displaced.
+  sim::StateVector sv;
+  const auto q = sv.allocate(2);
+  sv.h(q[0]);
+  const sim::QubitId twice[] = {q[0], q[0]};
+  EXPECT_THROW(sv.measure_parity(twice), sim::SimulatorError);
+  const bool bits[] = {true, false};
+  EXPECT_THROW((void)sv.amplitude(twice, bits), sim::SimulatorError);
+  // The rejected calls changed nothing: the superposition is intact.
+  EXPECT_NEAR(sv.probability_one(q[0]), 0.5, 1e-12);
+  const sim::QubitId both[] = {q[1], q[0]};
+  EXPECT_NEAR(std::abs(sv.amplitude(both, bits)), 0.0, 1e-12);
+}

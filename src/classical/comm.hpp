@@ -33,14 +33,6 @@ class Comm {
   int size() const { return static_cast<int>(members_.size()); }
   std::uint64_t context() const { return context_; }
 
-  /// True when the underlying transport delivers rank-to-rank messages over
-  /// direct per-pair channels rather than a central relay. Collectives use
-  /// this to pick between distributed (ring, recursive-doubling) and
-  /// centralized (root-funnelled) schedules.
-  bool peer_to_peer() const {
-    return transport_ != nullptr && transport_->peer_to_peer();
-  }
-
   // ---------------------------------------------------------------- p2p ---
 
   /// Sends raw bytes to `dest` with `tag` (eager, buffered; never blocks).

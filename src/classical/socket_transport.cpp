@@ -28,6 +28,10 @@ constexpr std::uint32_t kHelloMagic = 0x51'4d'50'49;  // "QMPI"
 // no longer runs them.
 constexpr std::uint16_t kWireVersion = 3;
 
+/// How long a broken peer link waits for the hub's abort broadcast before
+/// it names itself the job's cause (see SocketTransport::send_remote).
+constexpr std::chrono::milliseconds kLinkAbortGrace{2000};
+
 std::string errno_text() { return std::strerror(errno); }
 
 /// Marks a socket close-on-exec so forked rank processes never inherit
@@ -1100,6 +1104,18 @@ std::string HubClient::dead_reason() {
   return dead_reason_;
 }
 
+std::string HubClient::await_dead_reason(std::chrono::milliseconds grace) {
+  // The receiver thread is the one that would deliver the abort.
+  if (std::this_thread::get_id() == receiver_.get_id()) return dead_reason();
+  const auto deadline = std::chrono::steady_clock::now() + grace;
+  qmpi::UniqueLock lock(mu_);
+  while (!run_dead_ && !fatal_ &&
+         std::chrono::steady_clock::now() < deadline) {
+    cv_.wait_until(lock, deadline);
+  }
+  return dead_reason_;
+}
+
 // ----------------------------------------------------------- peer mesh ---
 
 PeerMesh::PeerMesh(HubClient& hub,
@@ -1310,10 +1326,6 @@ class SocketTransport::RankChannel final : public Channel {
     transport_.send_to_rank(dest_, owner_, std::move(msg));
   }
 
-  bool direct() const override {
-    return transport_.is_local(dest_) || transport_.mesh_ != nullptr;
-  }
-
  private:
   SocketTransport& transport_;
   int dest_;
@@ -1419,8 +1431,11 @@ void SocketTransport::send_remote(int owner_proc, int dest_world_rank,
     try {
       if (mesh_->try_send(owner_proc, dest_world_rank, msg)) return;
     } catch (const PeerLinkError& e) {
-      // A broken direct link fails the whole job (peers blocked on this
-      // process must wake), then surfaces the named edge to the caller.
+      // A link mostly breaks because its far end is failing the job and
+      // told the hub why first: that cause wins if it arrives in time, and
+      // only otherwise does the broken edge fail the job (waking peers).
+      const std::string cause = hub_->await_dead_reason(kLinkAbortGrace);
+      if (!cause.empty()) throw QmpiError("QMPI job aborted: " + cause);
       shutdown(e.what());
       throw;
     }

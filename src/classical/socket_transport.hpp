@@ -5,6 +5,7 @@
 /// and the Transport implementation. See docs/ARCHITECTURE.md §3.
 
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -288,6 +289,8 @@ class HubClient {
   /// Why the current run is dead, or empty. The run harness uses this to
   /// turn secondary ShutdownErrors into one actionable QmpiError.
   std::string dead_reason();
+  /// dead_reason(), after waiting up to `grace` for the run to die.
+  std::string await_dead_reason(std::chrono::milliseconds grace);
 
  private:
   void receiver_loop();

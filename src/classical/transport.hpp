@@ -54,11 +54,6 @@ class Channel {
   /// Delivers `msg` to this channel's destination rank (eager,
   /// non-blocking). The caller fills in source/tag/channel/context.
   virtual void send(Message msg) = 0;
-
-  /// True when this channel reaches its destination without transiting a
-  /// central relay (shared-memory mailbox or direct peer socket). Purely
-  /// informational — semantics are identical either way.
-  virtual bool direct() const = 0;
 };
 
 /// Control plane + channel factory connecting the ranks of one QMPI job.
@@ -127,10 +122,10 @@ class Transport {
   virtual Mailbox& mailbox(int world_rank) = 0;
 
   /// Capability query: true when cross-process rank pairs generally get
-  /// direct peer links (the collective strategy layer selects ring /
-  /// recursive-doubling schedules only when this holds; hub-routed
-  /// transports keep the centralized schedules so QMPI_P2P=off is
-  /// byte-identical to the pre-p2p behavior).
+  /// direct peer links. Only classical::Comm consults it: its allgather
+  /// and allreduce select ring / recursive-doubling schedules only when
+  /// this holds; hub-routed transports keep the centralized schedules so
+  /// QMPI_P2P=off is byte-identical to the pre-p2p behavior.
   virtual bool peer_to_peer() const = 0;
 };
 

@@ -69,7 +69,6 @@ class Universe final : public Transport {
    public:
     explicit MailboxChannel(Mailbox& box) : box_(box) {}
     void send(Message msg) override { box_.post(std::move(msg)); }
-    bool direct() const override { return true; }
 
    private:
     Mailbox& box_;

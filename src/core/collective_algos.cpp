@@ -10,10 +10,6 @@ using detail::kCollTag;
 using detail::kMaxReduceTag;
 using detail::kReduceTagBase;
 
-CollectiveEnv env_of(Context& ctx) {
-  return CollectiveEnv{ctx.size(), ctx.classical_comm().peer_to_peer()};
-}
-
 // ------------------------------------------------------------- broadcast ---
 
 void bcast_binomial_tree(Context& ctx, const Qubit* qubits, std::size_t count,
@@ -80,12 +76,7 @@ void bcast_cat_state(Context& ctx, const Qubit* qubits, std::size_t count,
 
     // Local parity measurements.
     std::uint8_t m = 0;
-    if (pos == 0) {
-      if (has_right) {
-        const Qubit pair[] = {qubits[i], outgoing};
-        m = ctx.measure_parity(pair) ? 1 : 0;
-      }
-    } else if (has_right) {
+    if (has_right) {
       const Qubit pair[] = {qubits[i], outgoing};
       m = ctx.measure_parity(pair) ? 1 : 0;
     }
@@ -119,21 +110,6 @@ void bcast_cat_state(Context& ctx, const Qubit* qubits, std::size_t count,
   }
 }
 
-namespace {
-void bcast_noop(Context&, const Qubit*, std::size_t, int) {}
-}  // namespace
-
-BcastStrategy select_bcast(BcastAlg requested, const CollectiveEnv& env) {
-  if (env.world_size <= 1) return {"noop", bcast_noop};
-  switch (requested) {
-    case BcastAlg::kBinomialTree:
-      return {"binomial-tree", bcast_binomial_tree};
-    case BcastAlg::kCatState:
-      return {"cat-state", bcast_cat_state};
-  }
-  return {"binomial-tree", bcast_binomial_tree};
-}
-
 // ------------------------------------------------------------- reduction ---
 
 namespace {
@@ -146,50 +122,62 @@ int reduce_protocol_tag(int tag) {
   }
   return kReduceTagBase + tag;
 }
+
+/// This rank's neighbours on the linear reduction chain rooted at `root`
+/// (paper §4.6): the chain runs root+1, root+2, ..., root (mod N), so the
+/// result materializes in the root's accumulator while every node holds
+/// exactly one extra output register. -1 marks an end of the chain.
+struct ChainLinks {
+  int prev;
+  int next;
+};
+ChainLinks chain_links(const Context& ctx, int root) {
+  const int n = ctx.size();
+  const int r = ctx.rank();
+  return {r == (root + 1) % n ? -1 : (r - 1 + n) % n,
+          r == root ? -1 : (r + 1) % n};
+}
 }  // namespace
 
-std::vector<int> chain_order(int root, int world_size) {
-  // Linear communication schedule (paper §4.6): a chain ending at the
-  // root, so the result materializes in the root's accumulator while every
-  // node holds exactly one extra output register.
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(world_size));
-  for (int k = 1; k <= world_size; ++k) order.push_back((root + k) % world_size);
-  return order;
+ReductionHandle open_handle(Context& ctx, std::size_t width,
+                            const ReduceOp& op, int root, int tag,
+                            ReductionHandle::Kind kind) {
+  QubitArray acc = ctx.alloc_qmem(width);
+  return ReductionHandle{.acc = {acc.begin(), acc.end()},
+                         .extra = {},
+                         .root = root,
+                         .width = width,
+                         .op = &op,
+                         .tag = tag,
+                         .kind = kind};
+}
+
+void close_handle(Context& ctx, ReductionHandle& handle) {
+  ctx.free_qmem(handle.acc.data(), handle.acc.size());
+  handle.acc.clear();
+  handle.active = false;
 }
 
 ReductionHandle reduce_chain(Context& ctx, const Qubit* qubits,
                              std::size_t width, const ReduceOp& op, int root,
                              int tag) {
   const ResourceTracker::Scope scope(ctx.tracker(), OpCategory::kReduce);
-  const auto order = chain_order(root, ctx.size());
-  const int n = ctx.size();
-  int pos = 0;
-  while (order[static_cast<std::size_t>(pos)] != ctx.rank()) ++pos;
-
-  ReductionHandle handle;
-  handle.root = root;
-  handle.width = width;
-  handle.op = &op;
-  handle.tag = tag;
-  handle.kind = ReductionHandle::Kind::kReduce;
-  QubitArray acc = ctx.alloc_qmem(width);
-  handle.acc.assign(acc.begin(), acc.end());
+  const ChainLinks link = chain_links(ctx, root);
+  ReductionHandle handle = open_handle(ctx, width, op, root, tag,
+                                       ReductionHandle::Kind::kReduce);
 
   const int rtag = reduce_protocol_tag(tag);
-  if (pos > 0) {
+  if (link.prev >= 0) {
     // Receive the running prefix as an entangled copy.
-    const int prev = order[static_cast<std::size_t>(pos - 1)];
     for (std::size_t i = 0; i < width; ++i)
-      ContextOps::recv_one(ctx, handle.acc[i], prev, rtag);
+      ContextOps::recv_one(ctx, handle.acc[i], link.prev, rtag);
   }
   // Fold this rank's data into the accumulator.
   op.apply(ctx, std::span<const Qubit>(qubits, width),
            std::span<Qubit>(handle.acc));
-  if (pos < n - 1) {
-    const int next = order[static_cast<std::size_t>(pos + 1)];
+  if (link.next >= 0) {
     for (std::size_t i = 0; i < width; ++i)
-      ContextOps::send_one(ctx, handle.acc[i], next, rtag);
+      ContextOps::send_one(ctx, handle.acc[i], link.next, rtag);
   }
   handle.active = true;
   return handle;
@@ -198,29 +186,22 @@ ReductionHandle reduce_chain(Context& ctx, const Qubit* qubits,
 void unreduce_chain(Context& ctx, ReductionHandle& handle,
                     const Qubit* qubits) {
   const ResourceTracker::Scope scope(ctx.tracker(), OpCategory::kUnreduce);
-  const auto order = chain_order(handle.root, ctx.size());
-  const int n = ctx.size();
-  int pos = 0;
-  while (order[static_cast<std::size_t>(pos)] != ctx.rank()) ++pos;
+  const ChainLinks link = chain_links(ctx, handle.root);
   const int rtag = reduce_protocol_tag(handle.tag);
 
-  if (pos < n - 1) {
+  if (link.next >= 0) {
     // Apply the Z fix-ups produced by the next node's X-basis measurement
     // while our accumulator still holds the value it copied.
-    const int next = order[static_cast<std::size_t>(pos + 1)];
     for (std::size_t i = 0; i < handle.width; ++i)
-      ContextOps::unsend_one(ctx, handle.acc[i], next, rtag);
+      ContextOps::unsend_one(ctx, handle.acc[i], link.next, rtag);
   }
   handle.op->unapply(ctx, std::span<const Qubit>(qubits, handle.width),
                      std::span<Qubit>(handle.acc));
-  if (pos > 0) {
-    const int prev = order[static_cast<std::size_t>(pos - 1)];
+  if (link.prev >= 0) {
     for (std::size_t i = 0; i < handle.width; ++i)
-      ContextOps::unrecv_one(ctx, handle.acc[i], prev, rtag);
+      ContextOps::unrecv_one(ctx, handle.acc[i], link.prev, rtag);
   }
-  ctx.free_qmem(handle.acc.data(), handle.acc.size());
-  handle.acc.clear();
-  handle.active = false;
+  close_handle(ctx, handle);
 }
 
 ReductionHandle reduce_binary_tree(Context& ctx, const Qubit* qubits,
@@ -234,14 +215,8 @@ ReductionHandle reduce_binary_tree(Context& ctx, const Qubit* qubits,
   const int n = ctx.size();
   const int rel = (ctx.rank() - root + n) % n;
 
-  ReductionHandle handle;
-  handle.root = root;
-  handle.width = width;
-  handle.op = &op;
-  handle.tag = tag;
-  handle.kind = ReductionHandle::Kind::kReduceTree;
-  QubitArray acc = ctx.alloc_qmem(width);
-  handle.acc.assign(acc.begin(), acc.end());
+  ReductionHandle handle = open_handle(ctx, width, op, root, tag,
+                                       ReductionHandle::Kind::kReduceTree);
   const int rtag = reduce_protocol_tag(tag);
 
   // Local fold: acc <- op(0, data).
@@ -307,18 +282,7 @@ void unreduce_binary_tree(Context& ctx, ReductionHandle& handle,
   }
   handle.op->unapply(ctx, std::span<const Qubit>(qubits, handle.width),
                      std::span<Qubit>(handle.acc));
-  ctx.free_qmem(handle.acc.data(), handle.acc.size());
-  handle.acc.clear();
-  handle.active = false;
-}
-
-ReduceStrategy select_reduce(ReduceAlg requested, const CollectiveEnv& env) {
-  // A single rank degenerates both schedules to a pure local fold; the
-  // chain handles that with zero communication and no recompute debt.
-  if (env.world_size <= 1 || requested == ReduceAlg::kChain) {
-    return {"chain", reduce_chain, unreduce_chain};
-  }
-  return {"binary-tree", reduce_binary_tree, unreduce_binary_tree};
+  close_handle(ctx, handle);
 }
 
 }  // namespace qmpi::algos

@@ -1,38 +1,16 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/context.hpp"
 
-/// Collective algorithm layer: the communication schedules behind the
-/// QMPI collectives (paper §4.5-4.6, §7.1), lifted out of Context into
-/// free functions so that (a) each schedule is testable and benchmarkable
-/// in isolation and (b) the per-call choice of schedule is an explicit,
-/// documented policy (select_bcast / select_reduce) instead of a switch
-/// buried in a member function.
-///
-/// Selection policy. Strategies are chosen from the world size and — for
-/// purely classical steps — the transport's peer-to-peer capability.
-/// Deliberately, the *quantum* schedule never depends on the transport:
-/// a different gate/measurement sequence would consume the measurement RNG
-/// differently and break bit-for-bit reproducibility between QMPI_P2P=on
-/// and =off runs. The transport capability still shapes the classical
-/// traffic inside these schedules transparently, because the classical
-/// Comm collectives they call (allgather, allreduce) branch on it
-/// internally.
+/// Collective algorithm layer: the broadcast and reduction schedules
+/// behind the QMPI collectives (paper §4.6, §7.1), as free functions so
+/// each schedule is testable and benchmarkable in isolation. Context::bcast
+/// and Context::reduce pick one from the requested algorithm alone: the
+/// quantum schedule never depends on the transport, so QMPI_P2P=on and
+/// =off runs consume the measurement RNG identically.
 namespace qmpi::algos {
-
-/// Inputs to strategy selection, captured per call.
-struct CollectiveEnv {
-  int world_size = 1;
-  /// Classical transport capability (see Comm::peer_to_peer). Affects only
-  /// classical sub-steps; never the quantum schedule (see file comment).
-  bool peer_to_peer = false;
-};
-
-/// Snapshot of the selection inputs for `ctx`.
-CollectiveEnv env_of(Context& ctx);
 
 /// Narrow bridge through which the algorithm layer reaches Context's
 /// per-qubit copy protocol and protocol communicator. Everything else a
@@ -80,22 +58,14 @@ void bcast_binomial_tree(Context& ctx, const Qubit* qubits, std::size_t count,
 void bcast_cat_state(Context& ctx, const Qubit* qubits, std::size_t count,
                      int root);
 
-/// A selected broadcast schedule.
-struct BcastStrategy {
-  const char* name;
-  void (*run)(Context&, const Qubit*, std::size_t, int root);
-};
-
-/// Picks the broadcast schedule for `requested` under `env`. World size 1
-/// selects a no-op (nothing to communicate); otherwise the request is
-/// honoured exactly — see the file comment for why capability never
-/// changes the quantum schedule.
-BcastStrategy select_bcast(BcastAlg requested, const CollectiveEnv& env);
-
 // ------------------------------------------------------------- reduction ---
 
-/// Chain order for reductions rooted at `root`: root is last.
-std::vector<int> chain_order(int root, int world_size);
+/// A handle owning a fresh `width`-qubit accumulator on this rank, and its
+/// release once the accumulator is back in |0>.
+ReductionHandle open_handle(Context& ctx, std::size_t width,
+                            const ReduceOp& op, int root, int tag,
+                            ReductionHandle::Kind kind);
+void close_handle(Context& ctx, ReductionHandle& handle);
 
 /// Linear chain schedule (paper §4.6): N-1 EPR pairs per qubit, one output
 /// register per node, classical-only inverse.
@@ -113,18 +83,5 @@ ReductionHandle reduce_binary_tree(Context& ctx, const Qubit* qubits,
                                    int root, int tag);
 void unreduce_binary_tree(Context& ctx, ReductionHandle& handle,
                           const Qubit* qubits);
-
-/// A selected reduction schedule and its inverse.
-struct ReduceStrategy {
-  const char* name;
-  ReductionHandle (*run)(Context&, const Qubit*, std::size_t, const ReduceOp&,
-                         int root, int tag);
-  void (*undo)(Context&, ReductionHandle&, const Qubit*);
-};
-
-/// Picks the reduction schedule for `requested` under `env`. World size 1
-/// collapses both algorithms onto the chain (a pure local fold — the tree's
-/// recompute bookkeeping buys nothing); larger sizes honour the request.
-ReduceStrategy select_reduce(ReduceAlg requested, const CollectiveEnv& env);
 
 }  // namespace qmpi::algos

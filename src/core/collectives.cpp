@@ -1,13 +1,148 @@
+#include <string>
+#include <vector>
+
 #include "core/collective_algos.hpp"
 #include "core/context.hpp"
 #include "core/protocol_tags.hpp"
+
+// Every quantum collective is a schedule of point-to-point transfers (paper
+// §4.5, Table 3): a copy, its classical-only uncopy, or a move. The rooted
+// ones share Context::rooted, the all-to-all family and the point-to-point
+// exchanges Context::exchange; the entry points pick transfer and category.
 
 namespace qmpi {
 
 using detail::encode_tag;
 using detail::kCollTag;
 
+namespace {
+
+void check_counts(std::span<const std::size_t> counts, int size,
+                  const char* what) {
+  if (counts.size() != static_cast<std::size_t>(size)) {
+    throw QmpiError(std::string(what) +
+                    ": counts must have one entry per rank");
+  }
+}
+
+/// `count` for each of `size` ranks: the counts of a uniform collective.
+std::vector<std::size_t> uniform(int size, std::size_t count) {
+  return std::vector<std::size_t>(static_cast<std::size_t>(size), count);
+}
+
+}  // namespace
+
 void Context::barrier() { user_comm_.barrier(); }
+
+// ------------------------------------------------------------- skeletons ---
+
+void Context::rooted(OpCategory category, Transfer verb, Flow flow,
+                     const Qubit* root_blocks, const Qubit* mine,
+                     std::span<const std::size_t> counts, int root) {
+  const ResourceTracker::Scope scope(*tracker_, category);
+  const bool to_root = flow == Flow::kToRoot;
+  // A non-root sends when the blocks flow toward the root, the root when
+  // they flow away from it.
+  const bool sends = to_root != (rank() == root);
+  auto remote = [&](Qubit q, int peer) {
+    switch (verb) {
+      case Transfer::kCopy:
+        return sends ? send_one(q, peer, kCollTag)
+                     : recv_one(q, peer, kCollTag);
+      case Transfer::kUncopy:
+        return sends ? unsend_one(q, peer, kCollTag)
+                     : unrecv_one(q, peer, kCollTag);
+      case Transfer::kMove:
+        return sends ? send_move_one(q, peer, kCollTag)
+                     : recv_move_one(q, peer, kCollTag);
+    }
+  };
+  if (rank() != root) {
+    const std::size_t mine_count = counts[static_cast<std::size_t>(rank())];
+    for (std::size_t i = 0; i < mine_count; ++i) remote(mine[i], root);
+    return;
+  }
+  const Qubit* block = root_blocks;
+  for (int r = 0; r < size(); ++r) {
+    const std::size_t c = counts[static_cast<std::size_t>(r)];
+    for (std::size_t i = 0; i < c; ++i) {
+      if (r != root) {
+        remote(block[i], r);
+        continue;
+      }
+      // The root's own block: a local CNOT fan-out (copy and uncopy) or a
+      // CNOT swap (move) between its block and its own qubits.
+      const Qubit from = to_root ? mine[i] : block[i];
+      const Qubit to = to_root ? block[i] : mine[i];
+      cnot(from, to);
+      if (verb == Transfer::kMove) cnot(to, from);
+    }
+    block += c;
+  }
+}
+
+void Context::exchange(Transfer verb, int send_tag, int recv_tag,
+                       std::span<const Leg> legs) {
+  auto stag = [&](int peer) {
+    return encode_tag(send_tag, detail::direction_sub(rank(), peer));
+  };
+  auto rtag = [&](int peer) {
+    return encode_tag(recv_tag, detail::direction_sub(peer, rank()));
+  };
+  std::vector<Qubit> halves;
+  for (const Leg& leg : legs) {
+    if (leg.peer == rank()) continue;
+    for (std::size_t i = 0; i < leg.send_count; ++i)
+      halves.push_back(send_begin(leg.peer, stag(leg.peer)));
+  }
+  for (const Leg& leg : legs) {
+    if (leg.peer == rank()) continue;
+    for (std::size_t i = 0; i < leg.recv_count; ++i)
+      epr_begin(leg.in[i], leg.peer, rtag(leg.peer));
+  }
+  std::size_t next_half = 0;
+  for (const Leg& leg : legs) {
+    for (std::size_t i = 0; i < leg.send_count; ++i) {
+      if (leg.peer == rank()) {
+        cnot(leg.out[i], leg.in[i]);
+        if (verb == Transfer::kMove) cnot(leg.in[i], leg.out[i]);
+      } else if (verb == Transfer::kMove) {
+        send_move_complete(leg.out[i], halves[next_half++], leg.peer,
+                           stag(leg.peer));
+      } else {
+        send_complete(leg.out[i], halves[next_half++], leg.peer,
+                      stag(leg.peer));
+      }
+    }
+  }
+  for (const Leg& leg : legs) {
+    if (leg.peer == rank()) continue;
+    // A higher-ranked sender posted all its EPR-half ids before its first
+    // fix-up on this channel, so pair the whole leg before reading fix-ups;
+    // a lower-ranked one interleaves each pair's ack with its fix-up.
+    const bool pair_first = leg.peer > rank();
+    for (std::size_t i = 0; i < leg.recv_count; ++i) {
+      epr_complete(leg.in[i], leg.peer, rtag(leg.peer));
+      if (!pair_first) recv_fixup(verb, leg.in[i], leg.peer, rtag(leg.peer));
+    }
+    if (!pair_first) continue;
+    for (std::size_t i = 0; i < leg.recv_count; ++i)
+      recv_fixup(verb, leg.in[i], leg.peer, rtag(leg.peer));
+  }
+}
+
+std::vector<Context::Leg> Context::block_legs(
+    const Qubit* out, std::span<const std::size_t> send_counts,
+    const Qubit* in, std::span<const std::size_t> recv_counts) {
+  std::vector<Leg> legs;
+  for (int peer = 0; peer < size(); ++peer) {
+    const auto p = static_cast<std::size_t>(peer);
+    legs.push_back({peer, out, send_counts[p], in, recv_counts[p]});
+    out += send_counts[p];
+    in += recv_counts[p];
+  }
+  return legs;
+}
 
 // ------------------------------------------------------------------ bcast ---
 
@@ -15,216 +150,90 @@ void Context::bcast(const Qubit* qubits, std::size_t count, int root,
                     BcastAlg alg) {
   if (size() == 1) return;
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  const auto strategy = algos::select_bcast(alg, algos::env_of(*this));
-  strategy.run(*this, qubits, count, root);
+  if (alg == BcastAlg::kCatState) {
+    algos::bcast_cat_state(*this, qubits, count, root);
+  } else {
+    algos::bcast_binomial_tree(*this, qubits, count, root);
+  }
+}
+
+void Context::unbcast_one(Qubit q, int root, const char* label) {
+  // Every non-root measures its copy in the X basis; the parity of all
+  // outcomes determines root's Z fix-up.
+  std::uint8_t m = 0;
+  if (rank() != root) {
+    h(q);
+    const bool outcome = measure(q);
+    if (outcome) x(q);  // reset copy to |0>
+    m = outcome ? 1 : 0;
+    tracker_->count_classical_bits(1);
+    trace_event({TraceEvent::Kind::kClassicalSend, rank(), root, 1, label});
+  }
+  const auto parity = protocol_comm_.allreduce(
+      m, [](std::uint8_t a, std::uint8_t b) -> std::uint8_t { return a ^ b; });
+  if (rank() == root && (parity & 1)) z(q);
 }
 
 void Context::unbcast(const Qubit* qubits, std::size_t count, int root) {
   if (size() == 1) return;
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kUncopy);
-  // Every non-root measures its copy in the X basis; the parity of all
-  // outcomes determines root's Z fix-up (Fig. 1b generalized). Classical
-  // communication only: one bit per non-root rank.
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint8_t m = 0;
-    if (rank() != root) {
-      h(qubits[i]);
-      const bool outcome = measure(qubits[i]);
-      if (outcome) x(qubits[i]);  // reset copy to |0>
-      m = outcome ? 1 : 0;
-      tracker_->count_classical_bits(1);
-      trace_event(
-          {TraceEvent::Kind::kClassicalSend, rank(), root, 1, "unbcast"});
-    }
-    const auto parity = protocol_comm_.allreduce(
-        m, [](std::uint8_t a, std::uint8_t b) -> std::uint8_t {
-          return a ^ b;
-        });
-    if (rank() == root && (parity & 1)) z(qubits[i]);
-  }
+  // Classical communication only: one bit per non-root rank and qubit.
+  for (std::size_t i = 0; i < count; ++i)
+    unbcast_one(qubits[i], root, "unbcast");
 }
 
 // ---------------------------------------------------------- gather/scatter ---
 
 void Context::gather(const Qubit* send_qubits, std::size_t count,
                      Qubit* recv_qubits, int root) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      Qubit* slot = recv_qubits + static_cast<std::size_t>(r) * count;
-      if (r == root) {
-        // Local fanout: CNOT copies in the computational basis.
-        for (std::size_t i = 0; i < count; ++i) cnot(send_qubits[i], slot[i]);
-      } else {
-        for (std::size_t i = 0; i < count; ++i)
-          recv_one(slot[i], r, kCollTag);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i)
-      send_one(send_qubits[i], root, kCollTag);
-  }
+  gatherv(send_qubits, uniform(size(), count), recv_qubits, root);
 }
 
 void Context::ungather(const Qubit* send_qubits, std::size_t count,
                        Qubit* recv_qubits, int root) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kUncopy);
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      Qubit* slot = recv_qubits + static_cast<std::size_t>(r) * count;
-      if (r == root) {
-        for (std::size_t i = 0; i < count; ++i) cnot(send_qubits[i], slot[i]);
-      } else {
-        for (std::size_t i = 0; i < count; ++i)
-          unrecv_one(slot[i], r, kCollTag);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i)
-      unsend_one(send_qubits[i], root, kCollTag);
-  }
+  ungatherv(send_qubits, uniform(size(), count), recv_qubits, root);
 }
 
 void Context::gatherv(const Qubit* send_qubits,
                       std::span<const std::size_t> counts, Qubit* recv_qubits,
                       int root) {
-  if (counts.size() != static_cast<std::size_t>(size())) {
-    throw QmpiError("gatherv: counts must have one entry per rank");
-  }
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  const std::size_t my_count = counts[static_cast<std::size_t>(rank())];
-  if (rank() == root) {
-    std::size_t offset = 0;
-    for (int r = 0; r < size(); ++r) {
-      const std::size_t c = counts[static_cast<std::size_t>(r)];
-      Qubit* slot = recv_qubits + offset;
-      if (r == root) {
-        for (std::size_t i = 0; i < c; ++i) cnot(send_qubits[i], slot[i]);
-      } else {
-        for (std::size_t i = 0; i < c; ++i) recv_one(slot[i], r, kCollTag);
-      }
-      offset += c;
-    }
-  } else {
-    for (std::size_t i = 0; i < my_count; ++i)
-      send_one(send_qubits[i], root, kCollTag);
-  }
+  check_counts(counts, size(), "gatherv");
+  rooted(OpCategory::kCopy, Transfer::kCopy, Flow::kToRoot, recv_qubits,
+         send_qubits, counts, root);
 }
 
 void Context::ungatherv(const Qubit* send_qubits,
                         std::span<const std::size_t> counts,
                         Qubit* recv_qubits, int root) {
-  if (counts.size() != static_cast<std::size_t>(size())) {
-    throw QmpiError("ungatherv: counts must have one entry per rank");
-  }
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kUncopy);
-  const std::size_t my_count = counts[static_cast<std::size_t>(rank())];
-  if (rank() == root) {
-    std::size_t offset = 0;
-    for (int r = 0; r < size(); ++r) {
-      const std::size_t c = counts[static_cast<std::size_t>(r)];
-      Qubit* slot = recv_qubits + offset;
-      if (r == root) {
-        for (std::size_t i = 0; i < c; ++i) cnot(send_qubits[i], slot[i]);
-      } else {
-        for (std::size_t i = 0; i < c; ++i) unrecv_one(slot[i], r, kCollTag);
-      }
-      offset += c;
-    }
-  } else {
-    for (std::size_t i = 0; i < my_count; ++i)
-      unsend_one(send_qubits[i], root, kCollTag);
-  }
+  check_counts(counts, size(), "ungatherv");
+  rooted(OpCategory::kUncopy, Transfer::kUncopy, Flow::kToRoot, recv_qubits,
+         send_qubits, counts, root);
+}
+
+void Context::scatter(const Qubit* send_qubits, Qubit* recv_qubits,
+                      std::size_t count, int root) {
+  scatterv(send_qubits, uniform(size(), count), recv_qubits, root);
+}
+
+void Context::unscatter(const Qubit* send_qubits, Qubit* recv_qubits,
+                        std::size_t count, int root) {
+  unscatterv(send_qubits, uniform(size(), count), recv_qubits, root);
 }
 
 void Context::scatterv(const Qubit* send_qubits,
                        std::span<const std::size_t> counts,
                        Qubit* recv_qubits, int root) {
-  if (counts.size() != static_cast<std::size_t>(size())) {
-    throw QmpiError("scatterv: counts must have one entry per rank");
-  }
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  const std::size_t my_count = counts[static_cast<std::size_t>(rank())];
-  if (rank() == root) {
-    std::size_t offset = 0;
-    for (int r = 0; r < size(); ++r) {
-      const std::size_t c = counts[static_cast<std::size_t>(r)];
-      const Qubit* slot = send_qubits + offset;
-      if (r == root) {
-        for (std::size_t i = 0; i < c; ++i) cnot(slot[i], recv_qubits[i]);
-      } else {
-        for (std::size_t i = 0; i < c; ++i) send_one(slot[i], r, kCollTag);
-      }
-      offset += c;
-    }
-  } else {
-    for (std::size_t i = 0; i < my_count; ++i)
-      recv_one(recv_qubits[i], root, kCollTag);
-  }
+  check_counts(counts, size(), "scatterv");
+  rooted(OpCategory::kCopy, Transfer::kCopy, Flow::kFromRoot, send_qubits,
+         recv_qubits, counts, root);
 }
 
 void Context::unscatterv(const Qubit* send_qubits,
                          std::span<const std::size_t> counts,
                          Qubit* recv_qubits, int root) {
-  if (counts.size() != static_cast<std::size_t>(size())) {
-    throw QmpiError("unscatterv: counts must have one entry per rank");
-  }
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kUncopy);
-  const std::size_t my_count = counts[static_cast<std::size_t>(rank())];
-  if (rank() == root) {
-    std::size_t offset = 0;
-    for (int r = 0; r < size(); ++r) {
-      const std::size_t c = counts[static_cast<std::size_t>(r)];
-      const Qubit* slot = send_qubits + offset;
-      if (r == root) {
-        for (std::size_t i = 0; i < c; ++i) cnot(slot[i], recv_qubits[i]);
-      } else {
-        for (std::size_t i = 0; i < c; ++i) unsend_one(slot[i], r, kCollTag);
-      }
-      offset += c;
-    }
-  } else {
-    for (std::size_t i = 0; i < my_count; ++i)
-      unrecv_one(recv_qubits[i], root, kCollTag);
-  }
-}
-
-void Context::scatter(const Qubit* send_qubits, Qubit* recv_qubits,
-                      std::size_t count, int root) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      const Qubit* slot = send_qubits + static_cast<std::size_t>(r) * count;
-      if (r == root) {
-        for (std::size_t i = 0; i < count; ++i) cnot(slot[i], recv_qubits[i]);
-      } else {
-        for (std::size_t i = 0; i < count; ++i)
-          send_one(slot[i], r, kCollTag);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i)
-      recv_one(recv_qubits[i], root, kCollTag);
-  }
-}
-
-void Context::unscatter(const Qubit* send_qubits, Qubit* recv_qubits,
-                        std::size_t count, int root) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kUncopy);
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      const Qubit* slot = send_qubits + static_cast<std::size_t>(r) * count;
-      if (r == root) {
-        for (std::size_t i = 0; i < count; ++i) cnot(slot[i], recv_qubits[i]);
-      } else {
-        for (std::size_t i = 0; i < count; ++i)
-          unsend_one(slot[i], r, kCollTag);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i)
-      unrecv_one(recv_qubits[i], root, kCollTag);
-  }
+  check_counts(counts, size(), "unscatterv");
+  rooted(OpCategory::kUncopy, Transfer::kUncopy, Flow::kFromRoot, send_qubits,
+         recv_qubits, counts, root);
 }
 
 void Context::allgather(const Qubit* send_qubits, std::size_t count,
@@ -247,24 +256,8 @@ void Context::unallgather(const Qubit* send_qubits, std::size_t count,
     Qubit* slot = recv_qubits + static_cast<std::size_t>(r) * count;
     // Inverse of bcast for root r, then undo the local fanout at r.
     for (std::size_t i = 0; i < count; ++i) {
-      std::uint8_t m = 0;
-      if (rank() != r) {
-        h(slot[i]);
-        const bool outcome = measure(slot[i]);
-        if (outcome) x(slot[i]);
-        m = outcome ? 1 : 0;
-        tracker_->count_classical_bits(1);
-        trace_event(
-            {TraceEvent::Kind::kClassicalSend, rank(), r, 1, "unallg"});
-      }
-      const auto parity = protocol_comm_.allreduce(
-          m, [](std::uint8_t a, std::uint8_t b) -> std::uint8_t {
-            return a ^ b;
-          });
-      if (rank() == r) {
-        if (parity & 1) z(slot[i]);
-        cnot(send_qubits[i], slot[i]);
-      }
+      unbcast_one(slot[i], r, "unallg");
+      if (rank() == r) cnot(send_qubits[i], slot[i]);
     }
   }
 }
@@ -273,179 +266,52 @@ void Context::unallgather(const Qubit* send_qubits, std::size_t count,
 
 void Context::alltoall(const Qubit* send_qubits, Qubit* recv_qubits,
                        std::size_t count) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  // Rank r's block j is copied into rank j's slot r. Split begin/complete
-  // phases keep the fully cyclic exchange deadlock-free (see sendrecv).
-  std::vector<std::vector<Qubit>> halves(static_cast<std::size_t>(size()));
-  auto stag = [&](int peer) {
-    return encode_tag(kCollTag, peer > rank() ? 1 : 2);
-  };
-  auto rtag = [&](int peer) {
-    return encode_tag(kCollTag, peer < rank() ? 1 : 2);
-  };
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    for (std::size_t i = 0; i < count; ++i) {
-      halves[static_cast<std::size_t>(peer)].push_back(
-          send_begin(peer, stag(peer)));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-    for (std::size_t i = 0; i < count; ++i)
-      epr_begin(in[i], peer, rtag(peer));
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    const Qubit* out = send_qubits + static_cast<std::size_t>(peer) * count;
-    if (peer == rank()) {
-      Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-      for (std::size_t i = 0; i < count; ++i) cnot(out[i], in[i]);
-      continue;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      send_complete(out[i], halves[static_cast<std::size_t>(peer)][i], peer,
-                    stag(peer));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-    for (std::size_t i = 0; i < count; ++i)
-      recv_complete(in[i], peer, rtag(peer));
-  }
+  const auto counts = uniform(size(), count);
+  alltoallv(send_qubits, counts, recv_qubits, counts);
 }
 
 void Context::unalltoall(const Qubit* send_qubits, Qubit* recv_qubits,
                          std::size_t count) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kUncopy);
-  for (int peer = 0; peer < size(); ++peer) {
-    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-    if (peer == rank()) {
-      const Qubit* out = send_qubits + static_cast<std::size_t>(peer) * count;
-      for (std::size_t i = 0; i < count; ++i) cnot(out[i], in[i]);
-      continue;
-    }
-    for (std::size_t i = 0; i < count; ++i) unrecv_one(in[i], peer, kCollTag);
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    const Qubit* out = send_qubits + static_cast<std::size_t>(peer) * count;
-    for (std::size_t i = 0; i < count; ++i) unsend_one(out[i], peer, kCollTag);
-  }
+  const auto counts = uniform(size(), count);
+  unalltoallv(send_qubits, counts, recv_qubits, counts);
 }
 
 void Context::alltoallv(const Qubit* send_qubits,
                         std::span<const std::size_t> send_counts,
                         Qubit* recv_qubits,
                         std::span<const std::size_t> recv_counts) {
-  if (send_counts.size() != static_cast<std::size_t>(size()) ||
-      recv_counts.size() != static_cast<std::size_t>(size())) {
-    throw QmpiError("alltoallv: counts must have one entry per rank");
-  }
+  check_counts(send_counts, size(), "alltoallv");
+  check_counts(recv_counts, size(), "alltoallv");
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  auto stag = [&](int peer) {
-    return encode_tag(kCollTag, peer > rank() ? 1 : 2);
-  };
-  auto rtag = [&](int peer) {
-    return encode_tag(kCollTag, peer < rank() ? 1 : 2);
-  };
-  // Split phases, as in alltoall.
-  std::vector<std::vector<Qubit>> halves(static_cast<std::size_t>(size()));
-  std::vector<std::size_t> send_off(static_cast<std::size_t>(size()), 0);
-  std::vector<std::size_t> recv_off(static_cast<std::size_t>(size()), 0);
-  {
-    std::size_t s = 0, r = 0;
-    for (int peer = 0; peer < size(); ++peer) {
-      send_off[static_cast<std::size_t>(peer)] = s;
-      recv_off[static_cast<std::size_t>(peer)] = r;
-      s += send_counts[static_cast<std::size_t>(peer)];
-      r += recv_counts[static_cast<std::size_t>(peer)];
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    for (std::size_t i = 0; i < send_counts[static_cast<std::size_t>(peer)];
-         ++i) {
-      halves[static_cast<std::size_t>(peer)].push_back(
-          send_begin(peer, stag(peer)));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    Qubit* in = recv_qubits + recv_off[static_cast<std::size_t>(peer)];
-    for (std::size_t i = 0; i < recv_counts[static_cast<std::size_t>(peer)];
-         ++i) {
-      epr_begin(in[i], peer, rtag(peer));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    const Qubit* out = send_qubits + send_off[static_cast<std::size_t>(peer)];
-    if (peer == rank()) {
-      Qubit* in = recv_qubits + recv_off[static_cast<std::size_t>(peer)];
-      for (std::size_t i = 0; i < send_counts[static_cast<std::size_t>(peer)];
-           ++i) {
-        cnot(out[i], in[i]);
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < send_counts[static_cast<std::size_t>(peer)];
-         ++i) {
-      send_complete(out[i], halves[static_cast<std::size_t>(peer)][i], peer,
-                    stag(peer));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    Qubit* in = recv_qubits + recv_off[static_cast<std::size_t>(peer)];
-    for (std::size_t i = 0; i < recv_counts[static_cast<std::size_t>(peer)];
-         ++i) {
-      recv_complete(in[i], peer, rtag(peer));
-    }
-  }
+  // Rank r's block j is copied into rank j's slot r.
+  exchange(Transfer::kCopy, kCollTag, kCollTag,
+           block_legs(send_qubits, send_counts, recv_qubits, recv_counts));
 }
 
 void Context::unalltoallv(const Qubit* send_qubits,
                           std::span<const std::size_t> send_counts,
                           Qubit* recv_qubits,
                           std::span<const std::size_t> recv_counts) {
-  if (send_counts.size() != static_cast<std::size_t>(size()) ||
-      recv_counts.size() != static_cast<std::size_t>(size())) {
-    throw QmpiError("unalltoallv: counts must have one entry per rank");
-  }
+  check_counts(send_counts, size(), "unalltoallv");
+  check_counts(recv_counts, size(), "unalltoallv");
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kUncopy);
-  std::size_t s = 0, r = 0;
   // Classical-only: unrecv all received copies (posts bits eagerly), then
   // absorb the Z fix-ups for everything we sent.
-  std::vector<std::size_t> send_off(static_cast<std::size_t>(size()), 0);
-  for (int peer = 0; peer < size(); ++peer) {
-    send_off[static_cast<std::size_t>(peer)] = s;
-    s += send_counts[static_cast<std::size_t>(peer)];
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    Qubit* in = recv_qubits + r;
-    if (peer == rank()) {
-      const Qubit* out =
-          send_qubits + send_off[static_cast<std::size_t>(peer)];
-      for (std::size_t i = 0; i < recv_counts[static_cast<std::size_t>(peer)];
-           ++i) {
-        cnot(out[i], in[i]);
-      }
-    } else {
-      for (std::size_t i = 0; i < recv_counts[static_cast<std::size_t>(peer)];
-           ++i) {
-        unrecv_one(in[i], peer, kCollTag);
+  const auto legs =
+      block_legs(send_qubits, send_counts, recv_qubits, recv_counts);
+  for (const Leg& leg : legs) {
+    for (std::size_t i = 0; i < leg.recv_count; ++i) {
+      if (leg.peer == rank()) {
+        cnot(leg.out[i], leg.in[i]);
+      } else {
+        unrecv_one(leg.in[i], leg.peer, kCollTag);
       }
     }
-    r += recv_counts[static_cast<std::size_t>(peer)];
   }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    const Qubit* out = send_qubits + send_off[static_cast<std::size_t>(peer)];
-    for (std::size_t i = 0; i < send_counts[static_cast<std::size_t>(peer)];
-         ++i) {
-      unsend_one(out[i], peer, kCollTag);
-    }
+  for (const Leg& leg : legs) {
+    if (leg.peer == rank()) continue;
+    for (std::size_t i = 0; i < leg.send_count; ++i)
+      unsend_one(leg.out[i], leg.peer, kCollTag);
   }
 }
 
@@ -453,139 +319,36 @@ void Context::unalltoallv(const Qubit* send_qubits,
 
 void Context::gather_move(const Qubit* send_qubits, std::size_t count,
                           Qubit* recv_qubits, int root) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kMove);
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      Qubit* slot = recv_qubits + static_cast<std::size_t>(r) * count;
-      if (r == root) {
-        // Local move: swap the state into the destination qubits.
-        for (std::size_t i = 0; i < count; ++i) {
-          cnot(send_qubits[i], slot[i]);
-          cnot(slot[i], send_qubits[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i)
-          recv_move_one(slot[i], r, kCollTag);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i)
-      send_move_one(send_qubits[i], root, kCollTag);
-  }
+  rooted(OpCategory::kMove, Transfer::kMove, Flow::kToRoot, recv_qubits,
+         send_qubits, uniform(size(), count), root);
 }
 
 void Context::ungather_move(Qubit* send_qubits, std::size_t count,
                             const Qubit* recv_qubits, int root) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kUnmove);
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      const Qubit* slot = recv_qubits + static_cast<std::size_t>(r) * count;
-      if (r == root) {
-        for (std::size_t i = 0; i < count; ++i) {
-          cnot(slot[i], send_qubits[i]);
-          cnot(send_qubits[i], slot[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i)
-          send_move_one(slot[i], r, kCollTag);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i)
-      recv_move_one(send_qubits[i], root, kCollTag);
-  }
+  // scatter_move's transfer pattern: the root's blocks travel back out.
+  rooted(OpCategory::kUnmove, Transfer::kMove, Flow::kFromRoot, recv_qubits,
+         send_qubits, uniform(size(), count), root);
 }
 
 void Context::scatter_move(Qubit* send_qubits, Qubit* recv_qubits,
                            std::size_t count, int root) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kMove);
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      Qubit* slot = send_qubits + static_cast<std::size_t>(r) * count;
-      if (r == root) {
-        for (std::size_t i = 0; i < count; ++i) {
-          cnot(slot[i], recv_qubits[i]);
-          cnot(recv_qubits[i], slot[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i)
-          send_move_one(slot[i], r, kCollTag);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i)
-      recv_move_one(recv_qubits[i], root, kCollTag);
-  }
+  rooted(OpCategory::kMove, Transfer::kMove, Flow::kFromRoot, send_qubits,
+         recv_qubits, uniform(size(), count), root);
 }
 
 void Context::unscatter_move(Qubit* send_qubits, Qubit* recv_qubits,
                              std::size_t count, int root) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kUnmove);
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      Qubit* slot = send_qubits + static_cast<std::size_t>(r) * count;
-      if (r == root) {
-        for (std::size_t i = 0; i < count; ++i) {
-          cnot(recv_qubits[i], slot[i]);
-          cnot(slot[i], recv_qubits[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i)
-          recv_move_one(slot[i], r, kCollTag);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i)
-      send_move_one(recv_qubits[i], root, kCollTag);
-  }
+  // gather_move's transfer pattern: every block travels back to the root.
+  rooted(OpCategory::kUnmove, Transfer::kMove, Flow::kToRoot, send_qubits,
+         recv_qubits, uniform(size(), count), root);
 }
 
 void Context::alltoall_move(Qubit* send_qubits, Qubit* recv_qubits,
                             std::size_t count) {
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kMove);
-  // Split phases as in alltoall: all EPR initiations precede any
-  // completion, so the cyclic exchange cannot deadlock.
-  std::vector<std::vector<Qubit>> halves(static_cast<std::size_t>(size()));
-  auto stag = [&](int peer) {
-    return encode_tag(kCollTag, peer > rank() ? 1 : 2);
-  };
-  auto rtag = [&](int peer) {
-    return encode_tag(kCollTag, peer < rank() ? 1 : 2);
-  };
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    for (std::size_t i = 0; i < count; ++i) {
-      halves[static_cast<std::size_t>(peer)].push_back(
-          send_begin(peer, stag(peer)));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-    for (std::size_t i = 0; i < count; ++i)
-      epr_begin(in[i], peer, rtag(peer));
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    Qubit* out = send_qubits + static_cast<std::size_t>(peer) * count;
-    if (peer == rank()) {
-      Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-      for (std::size_t i = 0; i < count; ++i) {
-        cnot(out[i], in[i]);
-        cnot(in[i], out[i]);
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      send_move_complete(out[i], halves[static_cast<std::size_t>(peer)][i],
-                         peer, stag(peer));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-    for (std::size_t i = 0; i < count; ++i)
-      recv_move_complete(in[i], peer, rtag(peer));
-  }
+  const auto counts = uniform(size(), count);
+  exchange(Transfer::kMove, kCollTag, kCollTag,
+           block_legs(send_qubits, counts, recv_qubits, counts));
 }
 
 }  // namespace qmpi

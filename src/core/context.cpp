@@ -144,6 +144,15 @@ void check_user_tag(int tag, const char* where) {
   }
 }
 
+/// An exchange leg toward the calling rank is a local transfer, which the
+/// point-to-point exchanges do not offer: reject it as their EPR
+/// rendezvous always has.
+void check_exchange_peers(int self, int dest, int source) {
+  if (dest == self || source == self) {
+    throw QmpiError("prepare_epr: peer must be a different, valid rank");
+  }
+}
+
 }  // namespace
 
 void Context::epr_begin(Qubit qubit, int peer, int ptag) {
@@ -218,8 +227,13 @@ void Context::send_one(Qubit q, int dest, int tag) {
   send_complete(q, e, dest, ptag);
 }
 
-void Context::recv_complete(Qubit q, int source, int ptag) {
-  epr_complete(q, source, ptag);
+void Context::recv_fixup(Transfer verb, Qubit q, int source, int ptag) {
+  if (verb == Transfer::kMove) {
+    const int r = protocol_comm_.recv<int>(source, ptag);
+    if (r & 1) x(q);
+    if (r & 2) z(q);
+    return;
+  }
   const auto m = protocol_comm_.recv<std::uint8_t>(source, ptag);
   if (m != 0) x(q);
 }
@@ -227,7 +241,8 @@ void Context::recv_complete(Qubit q, int source, int ptag) {
 void Context::recv_one(Qubit q, int source, int tag) {
   const int ptag = encode_tag(tag, direction_sub(source, rank()));
   epr_begin(q, source, ptag);
-  recv_complete(q, source, ptag);
+  epr_complete(q, source, ptag);
+  recv_fixup(Transfer::kCopy, q, source, ptag);
 }
 
 void Context::unsend_one(Qubit q, int dest, int tag) {
@@ -283,19 +298,11 @@ void Context::sendrecv(const Qubit* send_qubits, std::size_t send_count,
   // both peers "sending first" — cannot deadlock in the EPR rendezvous.
   check_user_tag(send_tag, "sendrecv");
   check_user_tag(recv_tag, "sendrecv");
+  check_exchange_peers(rank(), dest, source);
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  const int stag = encode_tag(send_tag, direction_sub(rank(), dest));
-  const int rtag = encode_tag(recv_tag, direction_sub(source, rank()));
-  std::vector<Qubit> halves;
-  halves.reserve(send_count);
-  for (std::size_t i = 0; i < send_count; ++i)
-    halves.push_back(send_begin(dest, stag));
-  for (std::size_t i = 0; i < recv_count; ++i)
-    epr_begin(recv_qubits[i], source, rtag);
-  for (std::size_t i = 0; i < send_count; ++i)
-    send_complete(send_qubits[i], halves[i], dest, stag);
-  for (std::size_t i = 0; i < recv_count; ++i)
-    recv_complete(recv_qubits[i], source, rtag);
+  const Leg legs[] = {{dest, send_qubits, send_count, nullptr, 0},
+                      {source, nullptr, 0, recv_qubits, recv_count}};
+  exchange(Transfer::kCopy, send_tag, recv_tag, legs);
 }
 
 void Context::unsendrecv(const Qubit* send_qubits, std::size_t send_count,
@@ -330,17 +337,11 @@ void Context::send_move_one(Qubit q, int dest, int tag) {
   send_move_complete(q, e, dest, ptag);
 }
 
-void Context::recv_move_complete(Qubit q, int source, int ptag) {
-  epr_complete(q, source, ptag);
-  const int r = protocol_comm_.recv<int>(source, ptag);
-  if (r & 1) x(q);
-  if (r & 2) z(q);
-}
-
 void Context::recv_move_one(Qubit q, int source, int tag) {
   const int ptag = encode_tag(tag, direction_sub(source, rank()));
   epr_begin(q, source, ptag);
-  recv_move_complete(q, source, ptag);
+  epr_complete(q, source, ptag);
+  recv_fixup(Transfer::kMove, q, source, ptag);
 }
 
 void Context::send_move(const Qubit* qubits, std::size_t count, int dest,
@@ -377,21 +378,12 @@ void Context::exchange_move(Qubit* qubits, std::size_t count, int dest,
                             int source, int tag) {
   // Split-phase bidirectional teleport: outgoing state leaves via
   // send_move, incoming state lands in freshly allocated qubits that then
-  // replace the caller's handles. Begin phases for both directions run
-  // before any complete phase, so rings and pairwise swaps cannot deadlock.
-  const int stag = encode_tag(tag, direction_sub(rank(), dest));
-  const int rtag = encode_tag(tag, direction_sub(source, rank()));
-  std::vector<Qubit> halves;
-  halves.reserve(count);
+  // replace the caller's handles.
+  check_exchange_peers(rank(), dest, source);
   QubitArray incoming = alloc_qmem(count);
-  for (std::size_t i = 0; i < count; ++i)
-    halves.push_back(send_begin(dest, stag));
-  for (std::size_t i = 0; i < count; ++i)
-    epr_begin(incoming[i], source, rtag);
-  for (std::size_t i = 0; i < count; ++i)
-    send_move_complete(qubits[i], halves[i], dest, stag);
-  for (std::size_t i = 0; i < count; ++i)
-    recv_move_complete(incoming[i], source, rtag);
+  const Leg legs[] = {{dest, qubits, count, nullptr, 0},
+                      {source, nullptr, 0, incoming.data(), count}};
+  exchange(Transfer::kMove, tag, tag, legs);
   // The old handles are |0> after the move; free them and adopt the
   // incoming qubits in place (MPI_Sendrecv_replace semantics).
   for (std::size_t i = 0; i < count; ++i) {

@@ -460,9 +460,9 @@ class Context {
 
  private:
   friend class JobHarness;
-  /// Collective schedules live in core/collective_algos.{hpp,cpp} as free
-  /// functions selected per call (see algos::select_bcast/select_reduce);
-  /// ContextOps is their narrow doorway to the per-qubit copy protocol.
+  /// The bcast and reduce schedules live in core/collective_algos.{hpp,cpp}
+  /// as free functions; ContextOps is their narrow doorway to the per-qubit
+  /// copy protocol.
   friend class algos::ContextOps;
 
   void gate1(const char* name, Qubit q, const sim::Gate1Q& gate);
@@ -478,14 +478,50 @@ class Context {
   void epr_complete(Qubit qubit, int peer, int ptag);
   void establish_epr(Qubit qubit, int peer, int ptag);
 
+  /// The point-to-point transfer a collective is built from (Table 3).
+  enum class Transfer { kCopy, kUncopy, kMove };
+  /// Whether a rooted collective's blocks travel toward the root or away.
+  enum class Flow { kToRoot, kFromRoot };
+
   /// Copy/move protocol phases (no scope push). send_begin allocates and
   /// initiates the EPR half; *_complete finish the EPR pair and run the
-  /// data phase of Fig. 3 / appendix A.1.
+  /// data phase of Fig. 3 / appendix A.1; recv_fixup is the receiver's.
   Qubit send_begin(int dest, int ptag);
   void send_complete(Qubit q, Qubit epr_half, int dest, int ptag);
-  void recv_complete(Qubit q, int source, int ptag);
   void send_move_complete(Qubit q, Qubit epr_half, int dest, int ptag);
-  void recv_move_complete(Qubit q, int source, int ptag);
+  void recv_fixup(Transfer verb, Qubit q, int source, int ptag);
+
+  /// One peer's share of a split-phase exchange: `send_count` qubits of
+  /// `out` go to `peer`, `recv_count` from it land in `in`. A leg to this
+  /// rank itself is a local transfer from `out` into `in`.
+  struct Leg {
+    int peer;
+    const Qubit* out;
+    std::size_t send_count;
+    const Qubit* in;
+    std::size_t recv_count;
+  };
+  /// Split-phase copy or move over `legs` (no scope push): all send
+  /// begins, all EPR begins, all send completions, all receive completions,
+  /// so cyclic exchanges cannot deadlock in the EPR rendezvous.
+  void exchange(Transfer verb, int send_tag, int recv_tag,
+                std::span<const Leg> legs);
+  /// Legs of an all-to-all with per-peer block sizes, blocks in rank order.
+  std::vector<Leg> block_legs(const Qubit* out,
+                              std::span<const std::size_t> send_counts,
+                              const Qubit* in,
+                              std::span<const std::size_t> recv_counts);
+
+  /// The skeleton of gather, scatter and their v, move and inverse forms:
+  /// `counts[r]` qubits pass between rank r's `mine` and the root's
+  /// rank-major `root_blocks` by `verb`, in direction `flow`.
+  void rooted(OpCategory category, Transfer verb, Flow flow,
+              const Qubit* root_blocks, const Qubit* mine,
+              std::span<const std::size_t> counts, int root);
+
+  /// Inverse broadcast of one qubit (Fig. 1b generalized); `label` names
+  /// the trace event of each non-root's outcome bit.
+  void unbcast_one(Qubit q, int root, const char* label);
 
   /// Bidirectional teleport with handle replacement (sendrecv_replace and
   /// its inverse share this body).

@@ -9,39 +9,35 @@ namespace {
 /// core/protocol_tags.hpp; the user-supplied reduction tag is added to it,
 /// so concurrent reductions with distinct tags do not interfere).
 constexpr int kRedTag = detail::kReduceTagBase;
+
+/// acc ^= data, one CNOT per qubit: its own inverse.
+void xor_fold(Context& ctx, std::span<const Qubit> data,
+              std::span<Qubit> acc) {
+  for (std::size_t i = 0; i < acc.size(); ++i) ctx.cnot(data[i], acc[i]);
+}
 }  // namespace
 
 const ReduceOp& parity_op() {
-  static const ReduceOp op(
-      "QMPI_PARITY",
-      [](Context& ctx, std::span<const Qubit> data, std::span<Qubit> acc) {
-        for (std::size_t i = 0; i < acc.size(); ++i) ctx.cnot(data[i], acc[i]);
-      },
-      [](Context& ctx, std::span<const Qubit> data, std::span<Qubit> acc) {
-        for (std::size_t i = 0; i < acc.size(); ++i) ctx.cnot(data[i], acc[i]);
-      });
+  static const ReduceOp op("QMPI_PARITY", xor_fold, xor_fold);
   return op;
 }
 
 const ReduceOp& bxor_op() {
   // Same fold as parity but named per the MPI BXOR convention; kept as a
   // distinct object so user code reads naturally for multi-qubit registers.
-  static const ReduceOp op(
-      "QMPI_BXOR",
-      [](Context& ctx, std::span<const Qubit> data, std::span<Qubit> acc) {
-        for (std::size_t i = 0; i < acc.size(); ++i) ctx.cnot(data[i], acc[i]);
-      },
-      [](Context& ctx, std::span<const Qubit> data, std::span<Qubit> acc) {
-        for (std::size_t i = 0; i < acc.size(); ++i) ctx.cnot(data[i], acc[i]);
-      });
+  static const ReduceOp op("QMPI_BXOR", xor_fold, xor_fold);
   return op;
 }
 
 ReductionHandle Context::reduce(const Qubit* qubits, std::size_t width,
                                 const ReduceOp& op, int root, int tag,
                                 ReduceAlg alg) {
-  const auto strategy = algos::select_reduce(alg, algos::env_of(*this));
-  return strategy.run(*this, qubits, width, op, root, tag);
+  // A single rank degenerates both schedules to a pure local fold; the
+  // chain handles that with zero communication and no recompute debt.
+  if (size() <= 1 || alg == ReduceAlg::kChain) {
+    return algos::reduce_chain(*this, qubits, width, op, root, tag);
+  }
+  return algos::reduce_binary_tree(*this, qubits, width, op, root, tag);
 }
 
 void Context::unreduce(ReductionHandle& handle, const Qubit* qubits) {
@@ -93,29 +89,13 @@ void Context::unallreduce(ReductionHandle& handle, const Qubit* qubits) {
 
 ReductionHandle Context::scan(const Qubit* qubits, std::size_t width,
                               const ReduceOp& op, int tag) {
+  // An inclusive scan is the chain reduction rooted at the last rank: the
+  // chain runs 0 -> 1 -> ... -> N-1, and every rank's accumulator holds
+  // the fold of the ranks before it and its own data.
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kScan);
-  const int n = size();
-  const int r = rank();
-  ReductionHandle handle;
-  handle.width = width;
-  handle.op = &op;
-  handle.tag = tag;
+  ReductionHandle handle =
+      algos::reduce_chain(*this, qubits, width, op, size() - 1, tag);
   handle.kind = ReductionHandle::Kind::kScan;
-  QubitArray acc = alloc_qmem(width);
-  handle.acc.assign(acc.begin(), acc.end());
-  const int rtag = kRedTag + tag;
-
-  if (r > 0) {
-    for (std::size_t i = 0; i < width; ++i)
-      recv_one(handle.acc[i], r - 1, rtag);
-  }
-  op.apply(*this, std::span<const Qubit>(qubits, width),
-           std::span<Qubit>(handle.acc));
-  if (r < n - 1) {
-    for (std::size_t i = 0; i < width; ++i)
-      send_one(handle.acc[i], r + 1, rtag);
-  }
-  handle.active = true;
   return handle;
 }
 
@@ -124,23 +104,7 @@ void Context::unscan(ReductionHandle& handle, const Qubit* qubits) {
     throw QmpiError("unscan: handle is not an active scan handle");
   }
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kUnscan);
-  const int n = size();
-  const int r = rank();
-  const int rtag = kRedTag + handle.tag;
-
-  if (r < n - 1) {
-    for (std::size_t i = 0; i < handle.width; ++i)
-      unsend_one(handle.acc[i], r + 1, rtag);
-  }
-  handle.op->unapply(*this, std::span<const Qubit>(qubits, handle.width),
-                     std::span<Qubit>(handle.acc));
-  if (r > 0) {
-    for (std::size_t i = 0; i < handle.width; ++i)
-      unrecv_one(handle.acc[i], r - 1, rtag);
-  }
-  free_qmem(handle.acc.data(), handle.acc.size());
-  handle.acc.clear();
-  handle.active = false;
+  algos::unreduce_chain(*this, handle, qubits);
 }
 
 ReductionHandle Context::exscan(const Qubit* qubits, std::size_t width,
@@ -148,13 +112,8 @@ ReductionHandle Context::exscan(const Qubit* qubits, std::size_t width,
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kScan);
   const int n = size();
   const int r = rank();
-  ReductionHandle handle;
-  handle.width = width;
-  handle.op = &op;
-  handle.tag = tag;
-  handle.kind = ReductionHandle::Kind::kExscan;
-  QubitArray acc = alloc_qmem(width);
-  handle.acc.assign(acc.begin(), acc.end());
+  ReductionHandle handle = algos::open_handle(
+      *this, width, op, /*root=*/-1, tag, ReductionHandle::Kind::kExscan);
   const int rtag = kRedTag + tag;
 
   if (r > 0) {
@@ -198,9 +157,7 @@ void Context::unexscan(ReductionHandle& handle, const Qubit* qubits) {
     for (std::size_t i = 0; i < handle.width; ++i)
       unrecv_one(handle.acc[i], r - 1, rtag);
   }
-  free_qmem(handle.acc.data(), handle.acc.size());
-  handle.acc.clear();
-  handle.active = false;
+  algos::close_handle(*this, handle);
 }
 
 std::vector<ReductionHandle> Context::reduce_scatter_block(const Qubit* qubits,

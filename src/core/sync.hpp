@@ -26,6 +26,7 @@
 /// banned in src/ outside this file and lock_order.cpp — enforced by
 /// `scripts/lint/run_lints.py` (rule: naked-sync).
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -165,6 +166,11 @@ class CondVar {
   /// capability is held on entry and on exit, so the caller's lock set is
   /// unchanged — no annotation needed (or expressible).
   void wait(UniqueLock& lock) { cv_.wait(lock.native()); }
+  /// As wait(), but returns at `deadline` at the latest.
+  void wait_until(UniqueLock& lock,
+                  std::chrono::steady_clock::time_point deadline) {
+    cv_.wait_until(lock.native(), deadline);
+  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

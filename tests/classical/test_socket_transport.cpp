@@ -794,6 +794,86 @@ TEST(PeerDataPlane, DeadDirectLinkRaisesPeerLinkErrorNamingTheEdge) {
       << "a send after the link failure must throw, not ship a stale frame";
 }
 
+TEST(PeerDataPlane, BrokenLinkReportsTheFirstAbortReason) {
+  // A process failing the job reports its cause to the hub, then its
+  // links die with it. A peer whose send hits that dead link before the
+  // hub's abort broadcast reaches it must surface the first cause, not
+  // the broken edge that is only its symptom.
+  TestHub th(2);
+  std::vector<std::exception_ptr> errors(2);
+  std::atomic<bool> peer_gone{false};
+  std::atomic<bool> sending{false};
+  std::string send_error;
+  bool was_link_error = false;
+  std::thread proc0([&] {
+    try {
+      HubClient client("127.0.0.1", th.hub.port(), 0);
+      SocketTransport transport(client, 2);
+      RunConfig cfg;
+      cfg.num_ranks = 2;
+      client.begin_run(cfg);
+      Comm world = Comm::world(transport, 0);
+      world.send(1, 1, 0);  // resolves the 0 -> 1 route to direct
+      while (!peer_gone) std::this_thread::yield();
+      sending = true;
+      try {
+        // The kernel surfaces the peer's RST on a subsequent write, not
+        // necessarily the first; keep sending until it does.
+        for (int i = 0; i < 100000; ++i) world.send(i, 1, 1);
+        ADD_FAILURE() << "sends into a dead direct link must throw";
+      } catch (const PeerLinkError& e) {
+        was_link_error = true;
+        send_error = e.what();
+      } catch (const QmpiError& e) {
+        send_error = e.what();
+      }
+      try {
+        (void)client.end_run({});
+      } catch (const QmpiError&) {
+        // The aborted run is expected to fail the end barrier.
+      }
+    } catch (...) {
+      errors[0] = std::current_exception();
+    }
+  });
+  std::thread proc1([&] {
+    try {
+      HubClient client("127.0.0.1", th.hub.port(), 1);
+      RunConfig cfg;
+      cfg.num_ranks = 2;
+      {
+        SocketTransport transport(client, 2);
+        client.begin_run(cfg);
+        Comm world = Comm::world(transport, 1);
+        EXPECT_EQ(world.recv<int>(0, 0), 1);
+        // Closes the accepted direct connections, as a dying process does.
+      }
+      peer_gone = true;
+      // Abort once proc 0's sends are failing on the dead link, well
+      // inside the grace it waits for the hub's reason.
+      while (!sending) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      client.abort_run("proc 1 failed first: sentinel cause");
+      try {
+        (void)client.end_run({});
+      } catch (const QmpiError&) {
+        // Aborted above.
+      }
+    } catch (...) {
+      errors[1] = std::current_exception();
+    }
+  });
+  proc0.join();
+  proc1.join();
+  for (auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  EXPECT_FALSE(was_link_error) << send_error;
+  EXPECT_NE(send_error.find("sentinel cause"), std::string::npos)
+      << "error must carry the first abort reason, got: \"" << send_error
+      << "\"";
+}
+
 TEST(SocketComm, BackToBackRunsReuseTheConnection) {
   // Several runs over one hub/client set: the begin/end barriers must
   // fully isolate them (fresh contexts, empty mailboxes).

@@ -109,6 +109,34 @@ TEST(QmpiMove, SendrecvReplaceRotatesStatesAroundARing) {
   });
 }
 
+TEST(QmpiMove, SendrecvReplaceMovesSeveralQubitsAroundARing) {
+  // Each rank's successor in the ring receives two qubits at once, so the
+  // wrap-around edge teleports a multi-qubit message to a lower rank.
+  constexpr int kRanks = 3;
+  constexpr std::size_t kCount = 2;
+  run(kRanks, [](Context& ctx) {
+    QubitArray q = ctx.alloc_qmem(kCount);
+    auto angle = [](int rank, std::size_t i) {
+      return 0.3 * (rank + 1) + 0.2 * static_cast<double>(i);
+    };
+    for (std::size_t i = 0; i < kCount; ++i) ctx.ry(q[i], angle(ctx.rank(), i));
+    const int next = (ctx.rank() + 1) % ctx.size();
+    const int prev = (ctx.rank() - 1 + ctx.size()) % ctx.size();
+    ctx.sendrecv_replace(q, kCount, next, prev, 0);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_NEAR(qt::exp1(ctx, q[i], 'Z'), std::cos(angle(prev, i)), 1e-12)
+          << "rank " << ctx.rank() << " qubit " << i;
+    }
+    ctx.barrier();
+    ctx.unsendrecv_replace(q, kCount, next, prev, 0);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_NEAR(qt::exp1(ctx, q[i], 'Z'), std::cos(angle(ctx.rank(), i)),
+                  1e-12);
+    }
+    ctx.barrier();
+  });
+}
+
 TEST(QmpiMove, ResourcesMatchTable1PerQubit) {
   // Table 1: move = 1 EPR + 2 bits; unmove = 1 EPR + 2 bits (per qubit).
   for (const std::size_t count : {1ul, 3ul}) {

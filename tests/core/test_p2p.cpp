@@ -125,6 +125,38 @@ TEST(QmpiP2PCopy, SimultaneousBidirectionalExchangeDoesNotCrossWire) {
   });
 }
 
+TEST(QmpiP2PCopy, MultiQubitSendrecvCarriesEveryQubitBothWays) {
+  // The higher rank posts the ids of all its EPR halves before its first
+  // fix-up bit on one channel; the lower rank must pair every qubit of
+  // the message before it reads a fix-up, or it would read an id as one.
+  constexpr std::size_t kCount = 3;
+  run(2, [](Context& ctx) {
+    QubitArray mine = ctx.alloc_qmem(kCount);
+    QubitArray theirs = ctx.alloc_qmem(kCount);
+    auto angle = [](int rank, std::size_t i) {
+      return 0.4 + 0.7 * rank + 0.3 * static_cast<double>(i);
+    };
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ctx.ry(mine[i], angle(ctx.rank(), i));
+    }
+    const int peer = 1 - ctx.rank();
+    ctx.sendrecv(mine, kCount, peer, 5, theirs, kCount, peer, 5);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_NEAR(qt::exp1(ctx, theirs[i], 'Z'), std::cos(angle(peer, i)),
+                  1e-12)
+          << "rank " << ctx.rank() << " qubit " << i;
+    }
+    ctx.barrier();
+    ctx.unsendrecv(mine, kCount, peer, 5, theirs, kCount, peer, 5);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_NEAR(qt::exp1(ctx, mine[i], 'Z'), std::cos(angle(ctx.rank(), i)),
+                  1e-12);
+      EXPECT_NEAR(ctx.probability_one(theirs[i]), 0.0, 1e-12);
+    }
+    ctx.barrier();
+  });
+}
+
 TEST(QmpiP2PCopy, ResourcesMatchTable1PerQubit) {
   // Table 1: copy = 1 EPR + 1 bit; uncopy = 0 EPR + 1 bit (per qubit).
   for (const std::size_t count : {1ul, 2ul, 5ul}) {

@@ -112,7 +112,6 @@ void bcast_cat_state(Context& ctx, const Qubit* qubits, std::size_t count,
 
 // ------------------------------------------------------------- reduction ---
 
-namespace {
 int reduce_protocol_tag(int tag) {
   if (tag < 0 || tag > kMaxReduceTag) {
     throw QmpiError("reduction tag " + std::to_string(tag) +
@@ -122,6 +121,8 @@ int reduce_protocol_tag(int tag) {
   }
   return kReduceTagBase + tag;
 }
+
+namespace {
 
 /// This rank's neighbours on the linear reduction chain rooted at `root`
 /// (paper §4.6): the chain runs root+1, root+2, ..., root (mod N), so the

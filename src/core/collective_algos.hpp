@@ -60,6 +60,11 @@ void bcast_cat_state(Context& ctx, const Qubit* qubits, std::size_t count,
 
 // ------------------------------------------------------------- reduction ---
 
+/// The protocol tag of a reduction's traffic: the user tag, which must lie
+/// in [0, detail::kMaxReduceTag] (else QmpiError), offset into the
+/// reduction band of the reserved tag space (core/protocol_tags.hpp).
+int reduce_protocol_tag(int tag);
+
 /// A handle owning a fresh `width`-qubit accumulator on this rank, and its
 /// release once the accumulator is back in |0>.
 ReductionHandle open_handle(Context& ctx, std::size_t width,

@@ -1,15 +1,9 @@
 #include "core/collective_algos.hpp"
 #include "core/context.hpp"
-#include "core/protocol_tags.hpp"
 
 namespace qmpi {
 
 namespace {
-/// Base tag for reduction-chain traffic (outside the user tag space — see
-/// core/protocol_tags.hpp; the user-supplied reduction tag is added to it,
-/// so concurrent reductions with distinct tags do not interfere).
-constexpr int kRedTag = detail::kReduceTagBase;
-
 /// acc ^= data, one CNOT per qubit: its own inverse.
 void xor_fold(Context& ctx, std::span<const Qubit> data,
               std::span<Qubit> acc) {
@@ -112,9 +106,9 @@ ReductionHandle Context::exscan(const Qubit* qubits, std::size_t width,
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kScan);
   const int n = size();
   const int r = rank();
+  const int rtag = algos::reduce_protocol_tag(tag);
   ReductionHandle handle = algos::open_handle(
       *this, width, op, /*root=*/-1, tag, ReductionHandle::Kind::kExscan);
-  const int rtag = kRedTag + tag;
 
   if (r > 0) {
     // The received prefix over ranks 0..r-1 IS the exclusive-scan result.
@@ -141,7 +135,7 @@ void Context::unexscan(ReductionHandle& handle, const Qubit* qubits) {
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kUnscan);
   const int n = size();
   const int r = rank();
-  const int rtag = kRedTag + handle.tag;
+  const int rtag = algos::reduce_protocol_tag(handle.tag);
 
   if (r < n - 1) {
     // Re-fold own data so the register again matches the copy held by the

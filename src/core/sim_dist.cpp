@@ -22,9 +22,9 @@ constexpr int kSimTagFence = 2;  ///< sequencing marker, echo to origin
 constexpr int kSimTagError = 3;  ///< root-hosted reply carrying an error
 
 /// Sub-kinds of kSimData payloads (first byte).
-constexpr std::uint8_t kDataSlab = 0;     ///< pairwise exchange slab
-constexpr std::uint8_t kDataPublish = 1;  ///< replica materialization slice
-constexpr std::uint8_t kDataScalar = 2;   ///< root's consensus broadcast
+constexpr std::uint8_t kDataSlab = 0;      ///< pairwise exchange slab
+constexpr std::uint8_t kDataPublish = 1;   ///< replica materialization slice
+constexpr std::uint8_t kDataPartials = 2;  ///< a rank's reduction partials
 
 /// Amplitudes per kSimData frame: 2^21 * 16 B = 32 MiB of payload, half the
 /// transport's 64 MiB frame limit. Larger slabs travel as multiple
@@ -136,43 +136,50 @@ std::vector<sim::Complex> PeerExchange::take_published(unsigned slice,
   return mesh_.take(slice, slice, tag).amplitudes;
 }
 
-double PeerExchange::scalar_consensus(std::uint64_t tag, double value) {
-  if (nprocs_ == 1) return value;
-  if (proc_id_ == 0) {
+std::vector<std::vector<double>> PeerExchange::allgather_partials(
+    std::uint64_t tag, std::vector<double> mine) {
+  std::vector<std::vector<double>> all(static_cast<std::size_t>(nprocs_));
+  if (nprocs_ > 1) {
     classical::WireWriter w;
-    w.u8(kDataScalar);
+    w.u8(kDataPartials);
     w.u64(tag);
-    w.f64(value);
+    w.u32(static_cast<std::uint32_t>(proc_id_));
+    w.u64(mine.size());
+    for (const double v : mine) w.f64(v);
     Message m;
     m.channel = ChannelKind::kSimData;
     m.source = first_rank(proc_id_);
     m.tag = 0;
     m.payload = w.take();
-    for (int p = 1; p < nprocs_; ++p) {
-      transport_->post_sim(first_rank(p), m);
+    for (int p = 0; p < nprocs_; ++p) {
+      if (p != proc_id_) transport_->post_sim(first_rank(p), m);
     }
-    return value;
+    qmpi::UniqueLock lk(partials_mu_);
+    for (int p = 0; p < nprocs_; ++p) {
+      if (p == proc_id_) continue;
+      const std::pair key{tag, static_cast<unsigned>(p)};
+      while (!partials_.contains(key) && partials_fail_.empty()) {
+        partials_cv_.wait(lk);
+      }
+      const auto it = partials_.find(key);
+      if (it == partials_.end()) {
+        throw sim::SimulatorError("shard exchange failed: " + partials_fail_);
+      }
+      all[static_cast<std::size_t>(p)] = std::move(it->second);
+      partials_.erase(it);
+    }
   }
-  qmpi::UniqueLock lk(scalar_mu_);
-  while (!scalars_.contains(tag) && scalar_fail_.empty()) {
-    scalar_cv_.wait(lk);
-  }
-  const auto it = scalars_.find(tag);
-  if (it == scalars_.end()) {
-    throw sim::SimulatorError("shard exchange failed: " + scalar_fail_);
-  }
-  const double v = it->second;
-  scalars_.erase(it);
-  return v;
+  all[static_cast<std::size_t>(proc_id_)] = std::move(mine);
+  return all;
 }
 
 void PeerExchange::fail(const std::string& reason) {
   mesh_.fail(reason);
   {
-    const qmpi::LockGuard lk(scalar_mu_);
-    if (scalar_fail_.empty()) scalar_fail_ = reason;
+    const qmpi::LockGuard lk(partials_mu_);
+    if (partials_fail_.empty()) partials_fail_ = reason;
   }
-  scalar_cv_.notify_all();
+  partials_cv_.notify_all();
 }
 
 void PeerExchange::deliver_slab(std::uint8_t kind, unsigned dest,
@@ -237,14 +244,21 @@ void PeerExchange::deliver(Message msg) {
       deliver_slab(kind, slice, slice, tag, r);
       return;
     }
-    case kDataScalar: {
+    case kDataPartials: {
       const std::uint64_t tag = r.u64();
-      const double v = r.f64();
-      {
-        const qmpi::LockGuard lk(scalar_mu_);
-        scalars_[tag] = v;
+      const unsigned source = r.u32();
+      const std::uint64_t count = r.u64();
+      if (count > r.remaining() / sizeof(double)) {
+        throw QmpiError("malformed reduction partials: count " +
+                        std::to_string(count) + " exceeds the frame body");
       }
-      scalar_cv_.notify_all();
+      std::vector<double> partials(static_cast<std::size_t>(count));
+      for (double& v : partials) v = r.f64();
+      {
+        const qmpi::LockGuard lk(partials_mu_);
+        partials_[{tag, source}] = std::move(partials);
+      }
+      partials_cv_.notify_all();
       return;
     }
     default:

@@ -11,12 +11,14 @@
 /// The distributed design in one paragraph: storage is replicated (every
 /// process allocates all slices) but COMPUTE is partitioned — each process
 /// sweeps only the slice block slice_block(world, rank, active) assigns
-/// it, so non-resident slices go harmlessly stale and operations that need
-/// the whole state materialize a replica first (sim/shard_exchange.hpp).
-/// Correctness then reduces to one invariant: every replica replays the
-/// identical operation stream in the identical order, so layout maps, op
-/// ticks, and the measurement RNG advance in lockstep and measurement
-/// outcomes agree everywhere by construction. The root process provides
+/// it, so non-resident slices go harmlessly stale. Register reshapes run
+/// on the resident slices, reductions exchange per-chunk partial sums, and
+/// only operations that read across slice blocks materialize a replica
+/// first (sim/shard_exchange.hpp). Correctness then reduces to one
+/// invariant: every replica replays the identical operation stream in the
+/// identical order, so layout maps, op ticks, and the measurement RNG
+/// advance in lockstep and measurement outcomes agree everywhere by
+/// construction. The root process provides
 /// that total order: all processes submit op bodies to it on the kSimCtl
 /// channel (one FIFO route per origin), and it rebroadcasts them on
 /// kSimExec to every process — itself included — in a single sequenced
@@ -56,8 +58,8 @@ namespace qmpi {
 /// mesh has one, hub kPost fallback otherwise — QMPI_P2P=off jobs stay
 /// correct, just slower), and locally received slabs land in an internal
 /// ShardMesh that provides the blocking matched take()s. Publish frames
-/// (replica materialization) and the root's scalar-consensus broadcasts
-/// ride the same kSimData channel.
+/// (replica materialization) and every rank's reduction partials ride the
+/// same kSimData channel.
 ///
 /// Amplitude payloads travel as raw host-representation bytes, like every
 /// other trivially-copyable classical payload in this prototype
@@ -80,11 +82,12 @@ class PeerExchange final : public sim::ExchangeProvider {
                std::span<const sim::Complex> amps) override;
   std::vector<sim::Complex> take_published(unsigned slice,
                                            std::uint64_t tag) override;
-  double scalar_consensus(std::uint64_t tag, double value) override;
+  std::vector<std::vector<double>> allgather_partials(
+      std::uint64_t tag, std::vector<double> mine) override;
   void fail(const std::string& reason) override;
 
   /// Decodes one received kSimData message and routes it to the matching
-  /// inbox / scalar waiter. Called from whatever thread the transport
+  /// inbox / partials waiter. Called from whatever thread the transport
   /// delivered on (receiver threads, or inline for self-posts).
   void deliver(classical::Message msg);
 
@@ -116,11 +119,12 @@ class PeerExchange final : public sim::ExchangeProvider {
   qmpi::Mutex partial_mu_{"PeerExchange::partial_mu"};
   std::map<SlabKey, PartialSlab> partial_ QMPI_GUARDED_BY(partial_mu_);
 
-  qmpi::Mutex scalar_mu_{"PeerExchange::scalar_mu"};
-  qmpi::CondVar scalar_cv_;
-  std::unordered_map<std::uint64_t, double> scalars_
-      QMPI_GUARDED_BY(scalar_mu_);
-  std::string scalar_fail_ QMPI_GUARDED_BY(scalar_mu_);  ///< set by fail()
+  /// Reduction partials received from peers, keyed (tag, source process).
+  qmpi::Mutex partials_mu_{"PeerExchange::partials_mu"};
+  qmpi::CondVar partials_cv_;
+  std::map<std::pair<std::uint64_t, unsigned>, std::vector<double>> partials_
+      QMPI_GUARDED_BY(partials_mu_);
+  std::string partials_fail_ QMPI_GUARDED_BY(partials_mu_);  ///< by fail()
 };
 
 /// BatchingSimClient over the sim channels of a tcp job, for every

@@ -75,6 +75,30 @@ inline std::size_t insert_bit(std::size_t k, std::size_t pos, bool bit) {
                                   (bit ? (1ULL << pos) : 0ULL));
 }
 
+/// Removes state bit `pos` from `amp[0..n)` in place, keeping the half
+/// where it equals `bit`: afterwards `amp[0..n/2)` holds kept amplitude o
+/// at index o. It comes from insert_bit(o, pos, bit) >= o, so one forward
+/// pass never overwrites an amplitude it has yet to read. The kept half is
+/// runs of 2^pos contiguous amplitudes; long runs move as blocks, short
+/// ones element by element.
+inline void remove_bit_in_place(Complex* amp, std::size_t n, std::size_t pos,
+                                bool bit) {
+  constexpr std::size_t kMinBlockRun = 4;
+  const std::size_t half = n / 2;
+  const std::size_t run = 1ULL << pos;
+  if (run < kMinBlockRun) {
+    for (std::size_t o = 0; o < half; ++o) {
+      amp[o] = amp[insert_bit(o, pos, bit)];
+    }
+    return;
+  }
+  const std::size_t skip = bit ? run : 0;
+  for (std::size_t o = 0; o < half; o += run) {
+    const Complex* src = amp + 2 * o + skip;
+    if (src != amp + o) std::copy(src, src + run, amp + o);
+  }
+}
+
 /// The run structure the SIMD sweeps exploit: an IndexExpander passes the
 /// bits of `k` below its lowest fixed position straight through, so
 /// compressed indices within an aligned window of this length map to

@@ -69,8 +69,11 @@ std::vector<Complex> ShardMesh::take_published(unsigned slice,
                          "resident at world 1");
 }
 
-double ShardMesh::scalar_consensus(std::uint64_t /*tag*/, double value) {
-  return value;  // rank 0 of a world of 1 is its own root
+std::vector<std::vector<double>> ShardMesh::allgather_partials(
+    std::uint64_t /*tag*/, std::vector<double> mine) {
+  std::vector<std::vector<double>> all;
+  all.push_back(std::move(mine));  // a world of 1: nobody else to hear from
+  return all;
 }
 
 void ShardMesh::fail(const std::string& reason) {

@@ -57,14 +57,14 @@ inline unsigned slice_owner(unsigned world, unsigned active, unsigned slice) {
 /// provider routes it to that slice's owning rank for the given active
 /// count); take blocks until the matching (dest, source, tag) slab arrives.
 ///
-/// The collective surface exists for world > 1: publish() hands a resident
+/// The collective surface exists for world > 1. allgather_partials()
+/// swaps the per-chunk partial sums of a reduction: each rank sums the
+/// fixed-size chunks that lie in its resident slices, and every rank adds
+/// all partials in chunk order, the serial combine, so every rank gets the
+/// serial value without a root or a gather. publish() hands a resident
 /// slice to every other rank and take_published() collects one, which is
-/// how reduction-style operations (probabilities, norms, snapshots, state
-/// reshapes) materialize a full replica before running the exact serial
-/// enumeration — the bit-identity contract does not allow re-associating
-/// partial sums across ranks. scalar_consensus() lets the root rank's
-/// reduction result become authoritative for everyone (measurement
-/// consensus); at world 1 it returns `value` unchanged.
+/// how operations that read across slice blocks (snapshots, amplitudes,
+/// expectations, single-chunk reductions) materialize a full replica.
 ///
 /// fail() wakes every blocked take with a SimulatorError so a dead peer
 /// surfaces as a typed error instead of a hang.
@@ -94,11 +94,14 @@ class ExchangeProvider {
   virtual std::vector<Complex> take_published(unsigned slice,
                                               std::uint64_t tag) = 0;
 
-  /// Root (rank 0) broadcasts `value`; everyone returns the root's value.
-  virtual double scalar_consensus(std::uint64_t tag, double value) = 0;
+  /// Sends this rank's reduction partials `mine` under `tag` to every
+  /// other rank and blocks until theirs arrive; returns every rank's
+  /// partials indexed by rank (entry rank() is `mine`).
+  virtual std::vector<std::vector<double>> allgather_partials(
+      std::uint64_t tag, std::vector<double> mine) = 0;
 
-  /// Wakes all blocked take()/take_published()/scalar waiters with a
-  /// SimulatorError carrying `reason`.
+  /// Wakes all blocked take()/take_published()/allgather_partials()
+  /// waiters with a SimulatorError carrying `reason`.
   virtual void fail(const std::string& reason) = 0;
 };
 
@@ -127,12 +130,14 @@ class ShardMesh final : public ExchangeProvider {
                     std::uint64_t tag) override;
 
   /// At world 1 every slice is already resident: the collective surface
-  /// degenerates to no-ops (publish) and programming errors (take).
+  /// degenerates to no-ops (publish; allgather_partials returns `mine`
+  /// alone) and programming errors (take_published).
   void publish(unsigned slice, std::uint64_t tag,
                std::span<const Complex> amps) override;
   std::vector<Complex> take_published(unsigned slice,
                                       std::uint64_t tag) override;
-  double scalar_consensus(std::uint64_t tag, double value) override;
+  std::vector<std::vector<double>> allgather_partials(
+      std::uint64_t tag, std::vector<double> mine) override;
 
   void fail(const std::string& reason) override;
 

@@ -14,6 +14,22 @@
 
 namespace qmpi::sim {
 
+namespace {
+
+/// Bits of the serial enumeration index that vary inside one reduction
+/// chunk (chunked_reduce's kReduceChunk).
+constexpr std::size_t kChunkBits =
+    static_cast<std::size_t>(std::countr_zero(kReduceChunk));
+
+/// Logical positions a reduction's chunk can span: the chunk bits, plus
+/// the one probability_one_at splices its target into.
+constexpr std::size_t kLowWindow = kChunkBits + 1;
+
+/// sum_norms' "no spliced target position".
+constexpr std::size_t kNoPos = ~std::size_t{0};
+
+}  // namespace
+
 ShardedStateVector::ShardedStateVector(unsigned num_shards,
                                        std::uint64_t seed,
                                        ExchangeProvider* exchange)
@@ -164,85 +180,71 @@ void ShardedStateVector::for_each_amp(Fn&& fn) const {
 
 void ShardedStateVector::grow_state() {
   const std::size_t n = num_qubits();  // already includes the new qubit
-  l2p_.push_back(static_cast<std::uint8_t>(n - 1));
-  p2l_.push_back(static_cast<std::uint8_t>(n - 1));
-  const unsigned ge_old =
-      std::min<unsigned>(gbits_, static_cast<unsigned>(n - 1));
-  const unsigned ge_new = std::min<unsigned>(gbits_, static_cast<unsigned>(n));
-  // Changing the active slice count reshuffles slice residency, so every
-  // rank must hold a fresh replica first; both growth paths below then
-  // write all slices identically on all ranks, leaving the replica fresh.
-  materialize(1U << ge_old);
-  if (ge_new > ge_old) {
-    // Still growing into the shard budget: the active slice count doubles
-    // (the new top bit is a fresh shard bit), slice size is unchanged, and
-    // the new top-half shards are all |...0> = zero amplitudes.
-    const std::size_t m = slices_[0].size();
-    for (unsigned w = 1U << ge_old; w < (1U << ge_new); ++w) {
-      slices_[w].assign(m, Complex(0.0, 0.0));
+  const auto q = static_cast<std::uint8_t>(n - 1);
+  if (n - 1 >= gbits_) {
+    // All shards active: the new qubit takes a new top *local* bit and the
+    // global bits move up one. Its value is 0 in every amplitude, so each
+    // resident slice doubles in place with a zero upper half.
+    const std::size_t nl_old = n - 1 - gbits_;
+    for (auto& p : l2p_) {
+      if (p >= nl_old) ++p;
     }
-  } else {
-    // All shards active: appending the |0> factor re-splits the flat array.
-    // New slice w covers two old slices (lower half of the index space);
-    // the upper half is zeros.
-    const unsigned active = 1U << ge_new;
-    const std::size_t m_old = slices_[0].size();
-    std::vector<std::vector<Complex>> next(shards_);
-    if (active == 1) {
-      next[0] = std::move(slices_[0]);
-      next[0].resize(m_old * 2, Complex(0.0, 0.0));
-    } else {
-      for (unsigned w = 0; w < active; ++w) {
-        if (w < active / 2) {
-          next[w] = std::move(slices_[2 * w]);
-          next[w].insert(next[w].end(), slices_[2 * w + 1].begin(),
-                         slices_[2 * w + 1].end());
-        } else {
-          next[w].assign(m_old * 2, Complex(0.0, 0.0));
-        }
-      }
-    }
-    slices_ = std::move(next);
+    l2p_.push_back(static_cast<std::uint8_t>(nl_old));
+    p2l_.insert(p2l_.begin() + static_cast<std::ptrdiff_t>(nl_old), q);
+    identity_layout_ = identity_layout_ && gbits_ == 0;
+    const auto [rb, re] = resident_range(shards_);
+    for (unsigned w = rb; w < re; ++w) slices_[w].resize(2 * slices_[w].size());
+    mark_partial_write();
+    // A fresh qubit is about to be used: not the next relabel victim.
+    local_last_use_.insert(
+        local_last_use_.begin() + static_cast<std::ptrdiff_t>(nl_old),
+        op_tick_);
+    return;
   }
-  local_last_use_.assign(local_bits(), 0);
+  // Still growing into the shard budget: every bit is global (one amplitude
+  // per slice), the active slice count doubles and the new top-half slices
+  // are all |...0> = zero. Residency reshuffles with the active count, so
+  // every rank first makes its replica fresh; all ranks then write every
+  // slice identically, leaving it fresh.
+  l2p_.push_back(q);
+  p2l_.push_back(q);
+  materialize(1U << (n - 1));
+  for (unsigned w = 1U << (n - 1); w < (1U << n); ++w) {
+    slices_[w].assign(1, Complex(0.0, 0.0));
+  }
 }
 
 void ShardedStateVector::remove_position_state(std::size_t pos, bool bit) {
   const std::size_t n = num_qubits();  // still the old count here
-  const unsigned ge_old = active_log2();
-  // Residency reshuffles with the active count (see grow_state); the
-  // compaction gather below also reads across slice boundaries.
-  materialize(1U << ge_old);
-  const std::size_t lb_old = n - ge_old;
-  const std::uint64_t mask_old = (1ULL << lb_old) - 1;
-  const std::size_t pp = l2p_[pos];
-
-  const std::size_t n_new = n - 1;
-  const unsigned ge_new =
-      std::min<unsigned>(gbits_, static_cast<unsigned>(n_new));
-  const std::size_t lb_new = n_new - ge_new;
-  const std::size_t m_new = 1ULL << lb_new;
-  const std::uint64_t mask_new = m_new - 1;
-
-  std::vector<std::vector<Complex>> next(shards_);
-  std::vector<Complex*> dst(1U << ge_new);
-  for (unsigned w = 0; w < (1U << ge_new); ++w) {
-    next[w].resize(m_new);
-    dst[w] = next[w].data();
+  std::size_t pp = l2p_[pos];
+  if (n - 1 >= gbits_) {
+    // All shards stay active: compact each resident slice in place, as the
+    // serial backend compacts its flat array. A global bit is first
+    // swapped local, so the kept half never crosses a slice boundary.
+    const std::size_t nl = n - gbits_;
+    if (pp >= nl) {
+      const std::size_t victim = pick_victim(nl);
+      relabel_swap(pp, victim);
+      pp = victim;
+    }
+    const auto [rb, re] = resident_range(shards_);
+    for (unsigned w = rb; w < re; ++w) {
+      std::vector<Complex>& s = slices_[w];
+      kernels::remove_bit_in_place(s.data(), s.size(), pp, bit);
+      s.resize(s.size() / 2);
+    }
+    mark_partial_write();
+    local_last_use_.erase(local_last_use_.begin() +
+                          static_cast<std::ptrdiff_t>(pp));
+  } else {
+    // The active slice count halves: every bit is global (one amplitude
+    // per slice), so the kept slices move down in slice order, on a fresh
+    // replica since residency reshuffles with the active count.
+    materialize(1U << n);
+    for (unsigned o = 0; o < (1U << (n - 1)); ++o) {
+      slices_[o] = slices_[kernels::insert_bit(o, pp, bit)];
+    }
   }
-  std::vector<const Complex*> src(1U << ge_old);
-  for (unsigned w = 0; w < (1U << ge_old); ++w) src[w] = slices_[w].data();
-
-  // Gather the kept half: physical compressed index o <- the old physical
-  // index with bit pp spliced back in (same formula as the serial path).
-  parallel_sweep(
-      num_threads_, 1ULL << n_new, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t o = begin; o < end; ++o) {
-          const std::uint64_t i = kernels::insert_bit(o, pp, bit);
-          dst[o >> lb_new][o & mask_new] = src[i >> lb_old][i & mask_old];
-        }
-      });
-  slices_ = std::move(next);
 
   // Repair the relabeling maps: logical positions above `pos` and physical
   // bits above `pp` both shift down by one.
@@ -250,13 +252,12 @@ void ShardedStateVector::remove_position_state(std::size_t pos, bool bit) {
   for (auto& p : l2p_) {
     if (p > pp) --p;
   }
-  p2l_.resize(n_new);
+  p2l_.resize(n - 1);
   identity_layout_ = true;
-  for (std::size_t q = 0; q < n_new; ++q) {
+  for (std::size_t q = 0; q < n - 1; ++q) {
     p2l_[l2p_[q]] = static_cast<std::uint8_t>(q);
     if (l2p_[q] != q) identity_layout_ = false;
   }
-  local_last_use_.assign(n_new - ge_new, 0);
 }
 
 // -------------------------------------------------------------- gates ---
@@ -627,11 +628,17 @@ void ShardedStateVector::relabel_swap(std::size_t pg, std::size_t pl) const {
 
 std::size_t ShardedStateVector::pick_victim(std::size_t nl,
                                             std::uint64_t exclude) const {
+  // Least recently used, but a bit outside the low logical window first:
+  // a reduction whose chunk window holds a global bit pays a swap.
   std::size_t victim = nl;  // sentinel; callers guarantee a candidate exists
+  bool victim_low = true;
   for (std::size_t b = 0; b < nl; ++b) {
     if ((exclude >> b) & 1ULL) continue;
-    if (victim == nl || local_last_use_[b] < local_last_use_[victim]) {
+    const bool low = p2l_[b] < kLowWindow;
+    if (victim == nl || (victim_low && !low) ||
+        (low == victim_low && local_last_use_[b] < local_last_use_[victim])) {
       victim = b;
+      victim_low = low;
     }
   }
   return victim;
@@ -639,32 +646,120 @@ std::size_t ShardedStateVector::pick_victim(std::size_t nl,
 
 // ------------------------------------------------------- measurements ---
 
-double ShardedStateVector::probability_one_at(std::size_t pos) const {
-  // Reductions must add partial sums in the serial chunk order, so a
-  // distributed replica is first made whole; the root rank's result is
-  // then authoritative for everyone (measurement consensus), keeping the
-  // seeded RNG draws — and therefore outcomes — in lockstep even if a
-  // rank's arithmetic ever diverged.
-  materialize_all();
+template <typename Keep>
+double ShardedStateVector::sum_norms(std::size_t count, std::size_t pos,
+                                     Keep keep) const {
+  // Serial enumeration bit j is logical bit j, or j + 1 at and above the
+  // target position probability_one_at splices in (pos = kNoPos: none).
+  const auto logical_bit = [pos](std::size_t j) { return j < pos ? j : j + 1; };
+  const auto ebits = static_cast<std::size_t>(std::countr_zero(count));
+  bool chunk_local = false;
+  if (world_ > 1 && !replicated_fresh_ && count > kReduceChunk &&
+      local_bits() >= kChunkBits) {
+    // Make every bit that varies inside a chunk local, so each chunk lies
+    // in one slice: swap each global window bit with a local bit outside
+    // the window.
+    const std::size_t nl = local_bits();
+    std::uint64_t window = 0;
+    for (std::size_t j = 0; j < kChunkBits; ++j) {
+      const std::size_t p = l2p_[logical_bit(j)];
+      if (p < nl) window |= 1ULL << p;
+    }
+    for (std::size_t j = 0; j < kChunkBits; ++j) {
+      const std::size_t p = l2p_[logical_bit(j)];
+      if (p < nl) continue;
+      const std::size_t victim = pick_victim(nl, window);
+      relabel_swap(p, victim);
+      window |= 1ULL << victim;
+    }
+    chunk_local = true;
+  } else {
+    materialize_all();
+  }
+
+  // Enumeration index -> physical index: the bits of a chunk through two
+  // lookup tables, the bits above it once per chunk.
   const std::size_t nl = local_bits();
-  const std::uint64_t mask = (1ULL << nl) - 1;
+  const std::uint64_t lmask = (1ULL << nl) - 1;
+  constexpr std::size_t kTableBits = kChunkBits / 2;
+  constexpr std::size_t kTableSize = std::size_t{1} << kTableBits;
+  std::array<std::uint64_t, kTableSize> lo{};
+  std::array<std::uint64_t, kTableSize> mid{};
+  for (std::size_t j = 0; j < std::min(ebits, kChunkBits); ++j) {
+    auto& table = j < kTableBits ? lo : mid;
+    const std::size_t bit = std::size_t{1} << (j % kTableBits);
+    const std::uint64_t phys = 1ULL << l2p_[logical_bit(j)];
+    for (std::size_t v = 0; v < kTableSize; ++v) {
+      if (v & bit) table[v] |= phys;
+    }
+  }
+  const std::uint64_t fixed = pos == kNoPos ? 0 : 1ULL << l2p_[pos];
+  const auto chunk_base = [&](std::size_t k) {
+    std::uint64_t ph = fixed;
+    for (std::size_t j = kChunkBits; j < ebits; ++j) {
+      if ((k >> j) & 1U) ph |= 1ULL << l2p_[logical_bit(j)];
+    }
+    return ph;
+  };
   std::vector<const Complex*> ptr(1U << active_log2());
   for (unsigned w = 0; w < ptr.size(); ++w) ptr[w] = slices_[w].data();
-  const std::size_t half = (1ULL << num_qubits()) / 2;
-  // Same enumeration and chunked combine as the serial backend: compressed
-  // logical indices with the target bit spliced in, so the partial sums are
-  // added in the exact same order.
-  const double p1 = chunked_reduce<double>(
-      num_threads_, half, [&](std::size_t begin, std::size_t end) {
-        double p = 0.0;
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::uint64_t i =
-              to_physical(kernels::insert_bit(k, pos, true));
-          p += std::norm(ptr[i >> nl][i & mask]);
+  // Same enumeration and per-chunk sum as the serial backend, so every
+  // chunk partial is the serial one bit for bit.
+  const auto chunk_sum = [&](std::size_t begin, std::size_t end) {
+    const std::uint64_t base = chunk_base(begin);
+    double p = 0.0;
+    for (std::size_t k = begin; k < end; ++k) {
+      if (!keep(k)) continue;
+      const std::uint64_t ph = base | lo[k & (kTableSize - 1)] |
+                               mid[(k >> kTableBits) & (kTableSize - 1)];
+      p += std::norm(ptr[ph >> nl][ph & lmask]);
+    }
+    return p;
+  };
+  if (!chunk_local) {
+    return chunked_reduce<double>(num_threads_, count, chunk_sum);
+  }
+
+  // Each rank sums the chunks of its resident slices; the ranks swap those
+  // partials and every rank folds all of them in chunk order, exactly as
+  // chunked_reduce does, so all ranks hold the serial value.
+  const std::size_t nchunks = count / kReduceChunk;
+  const unsigned active = 1U << active_log2();
+  std::vector<unsigned> owner(nchunks);
+  std::vector<std::size_t> mine;
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const auto slice =
+        static_cast<unsigned>(chunk_base(c * kReduceChunk) >> nl);
+    owner[c] = slice_owner(world_, active, slice);
+    if (owner[c] == rank_) mine.push_back(c);
+  }
+  std::vector<double> partials(mine.size());
+  const unsigned lanes = count >= kMinParallel ? num_threads_ : 1;
+  ThreadPool::instance().parallel_for(
+      lanes, mine.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t lo_k = mine[i] * kReduceChunk;
+          partials[i] = chunk_sum(lo_k, lo_k + kReduceChunk);
         }
-        return p;
       });
-  return exchange_->scalar_consensus(++op_tick_, p1);
+  const std::vector<std::vector<double>> all =
+      exchange_->allgather_partials(++op_tick_, std::move(partials));
+  std::vector<std::size_t> next(world_, 0);
+  double total = 0.0;
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const unsigned r = owner[c];
+    if (next[r] >= all[r].size()) {
+      throw SimulatorError("shard exchange: rank " + std::to_string(r) +
+                           " sent too few reduction partials");
+    }
+    total += all[r][next[r]++];
+  }
+  return total;
+}
+
+double ShardedStateVector::probability_one_at(std::size_t pos) const {
+  return sum_norms((1ULL << num_qubits()) / 2, pos,
+                   [](std::size_t) { return true; });
 }
 
 void ShardedStateVector::collapse_at(std::size_t pos, bool bit,
@@ -681,24 +776,9 @@ void ShardedStateVector::collapse_at(std::size_t pos, bool bit,
 }
 
 double ShardedStateVector::parity_odd_probability(std::uint64_t mask) const {
-  materialize_all();  // + root consensus below, as in probability_one_at
-  const std::size_t nl = local_bits();
-  const std::uint64_t lmask_local = (1ULL << nl) - 1;
-  std::vector<const Complex*> ptr(1U << active_log2());
-  for (unsigned w = 0; w < ptr.size(); ++w) ptr[w] = slices_[w].data();
-  const std::size_t n = 1ULL << num_qubits();
-  const double p = chunked_reduce<double>(
-      num_threads_, n, [&](std::size_t begin, std::size_t end) {
-        double acc = 0.0;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (std::popcount(i & mask) & 1U) {
-            const std::uint64_t ph = to_physical(i);
-            acc += std::norm(ptr[ph >> nl][ph & lmask_local]);
-          }
-        }
-        return acc;
-      });
-  return exchange_->scalar_consensus(++op_tick_, p);
+  return sum_norms(1ULL << num_qubits(), kNoPos, [mask](std::size_t i) {
+    return (std::popcount(i & mask) & 1U) != 0;
+  });
 }
 
 void ShardedStateVector::parity_collapse(std::uint64_t mask, bool outcome,
@@ -808,22 +888,8 @@ void ShardedStateVector::pauli_rotation_masks(const PauliMasks& masks,
 }
 
 double ShardedStateVector::norm_state() const {
-  materialize_all();  // serial chunk order over the whole index space
-  const std::size_t nl = local_bits();
-  const std::uint64_t lmask_local = (1ULL << nl) - 1;
-  std::vector<const Complex*> ptr(1U << active_log2());
-  for (unsigned w = 0; w < ptr.size(); ++w) ptr[w] = slices_[w].data();
-  const std::size_t n = 1ULL << num_qubits();
-  const double total = chunked_reduce<double>(
-      num_threads_, n, [&](std::size_t begin, std::size_t end) {
-        double p = 0.0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::uint64_t ph = to_physical(i);
-          p += std::norm(ptr[ph >> nl][ph & lmask_local]);
-        }
-        return p;
-      });
-  return std::sqrt(total);
+  return std::sqrt(sum_norms(1ULL << num_qubits(), kNoPos,
+                             [](std::size_t) { return true; }));
 }
 
 std::vector<Complex> ShardedStateVector::snapshot_state() const {

@@ -44,6 +44,15 @@ inline constexpr unsigned kMaxShards = 256;
 /// and reductions enumerate logical indices in serial order with the shared
 /// chunked combine (sweep.hpp), so even measurement outcomes match draw for
 /// draw.
+///
+/// Distributed over ranks, register reshapes and reductions stay on the
+/// resident slices. Once all shards are active a new qubit takes a new top
+/// local bit (each slice doubles in place) and a freed local bit compacts
+/// each slice in place; a freed global bit is first swapped local. A
+/// reduction first swaps local every bit that varies inside one of its
+/// fixed 2^14-term chunks, so each chunk lies in one slice: every rank sums
+/// its resident chunks, the ranks exchange those partials, and every rank
+/// adds all of them in chunk order, exactly as the serial combine does.
 class ShardedStateVector : public Backend {
  public:
   /// `num_shards` must be a power of two (1 degenerates to an unsharded
@@ -55,11 +64,14 @@ class ShardedStateVector : public Backend {
   /// non-null provider distributes the slices: this instance sweeps only
   /// the contiguous slice block slice_block(world, rank, active) assigns
   /// it, global gates and relabel swaps route slabs through the provider,
-  /// and operations that need the whole state (reductions, snapshots,
-  /// register reshapes) first materialize every active slice via the
-  /// provider's publish/take surface. The provider must outlive this
-  /// backend. Every rank must replay the identical operation stream — the
-  /// op tick, layout maps, and RNG advance in lockstep on all ranks.
+  /// and reductions exchange per-chunk partials through it. Operations
+  /// that read the whole state (snapshots, amplitudes, expectations, Pauli
+  /// rotations with flips, cross-slice clusters), reductions too small to
+  /// split into chunks, and reshapes that change the active slice count
+  /// first materialize every active slice via the provider's publish/take
+  /// surface. The provider must outlive this backend. Every rank must
+  /// replay the identical operation stream — the op tick, layout maps, and
+  /// RNG advance in lockstep on all ranks.
   explicit ShardedStateVector(unsigned num_shards,
                               std::uint64_t seed = kDefaultSeed,
                               ExchangeProvider* exchange = nullptr);
@@ -82,7 +94,8 @@ class ShardedStateVector : public Backend {
   /// cluster whose qubits fit the local budget is pulled local first and
   /// then sweeps with zero ShardMesh exchanges. `materializations` counts
   /// full-replica gathers (materialize calls that moved slices; always 0
-  /// in-process).
+  /// in-process). Once all shards are active only whole-state inspection,
+  /// single-chunk reductions and cross-slice clusters gather.
   std::uint64_t exchange_sweeps() const { return exchange_sweeps_; }
   std::uint64_t relabel_swaps() const { return relabel_swaps_; }
   std::uint64_t cluster_sweeps() const { return cluster_sweeps_; }
@@ -131,7 +144,8 @@ class ShardedStateVector : public Backend {
   /// Ensures every one of the `active` slices is fresh on this rank:
   /// publishes the resident block, takes everything else. No-op at world 1
   /// or when the replica is already fresh (tracked deterministically, so
-  /// all ranks skip or materialize together).
+  /// all ranks skip or materialize together). Only operations that read
+  /// across resident blocks call it (see the constructor).
   void materialize(unsigned active) const;
   void materialize_all() const;
 
@@ -167,8 +181,19 @@ class ShardedStateVector : public Backend {
 
   /// Least-recently-targeted physical local bit (the relabel victim),
   /// skipping bits set in `exclude` — a cluster must not evict one of its
-  /// own qubits while pulling another one local.
+  /// own qubits while pulling another one local. Bits carrying a logical
+  /// position outside the low window reductions chunk over go first.
   std::size_t pick_victim(std::size_t nl, std::uint64_t exclude = 0) const;
+
+  /// Sum of |amplitude|^2 over serial enumeration indices k in [0, count)
+  /// with `keep(k)`, the logical index being k with a 1 spliced in at
+  /// `pos` (or k itself when pos is kNoPos). Same enumeration and chunked
+  /// combine as the serial reductions. Distributed over ranks with a stale
+  /// replica, it sums resident chunks and exchanges partials (see the class
+  /// comment); a single chunk, or fewer local bits than a chunk spans,
+  /// gathers instead.
+  template <typename Keep>
+  double sum_norms(std::size_t count, std::size_t pos, Keep keep) const;
 
   /// Plans and runs one k-qubit block sweep: with the relabel policy on,
   /// global block bits are first swapped local (LRU victims outside the

@@ -1,6 +1,5 @@
 #include "sim/statevector.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -37,28 +36,11 @@ double StateVector::probability_one_at(std::size_t pos) const {
 }
 
 void StateVector::remove_position_state(std::size_t pos, bool bit) {
-  // Compact the kept half in place: kept amplitude o comes from old index
-  // insert_bit(o, pos, bit) >= o, so one forward pass never overwrites an
-  // amplitude it has yet to read. The kept half is runs of 2^pos
-  // contiguous amplitudes; long runs move as blocks, short ones element
-  // by element. The shrinking resize keeps the capacity, so the next
-  // grow_state does not reallocate.
-  constexpr std::size_t kMinBlockRun = 4;
-  const std::size_t half = amplitudes_.size() / 2;
-  const std::size_t run = 1ULL << pos;
-  Complex* amp = amplitudes_.data();
-  if (run < kMinBlockRun) {
-    for (std::size_t o = 0; o < half; ++o) {
-      amp[o] = amp[kernels::insert_bit(o, pos, bit)];
-    }
-  } else {
-    const std::size_t skip = bit ? run : 0;
-    for (std::size_t o = 0; o < half; o += run) {
-      const Complex* src = amp + 2 * o + skip;
-      if (src != amp + o) std::copy(src, src + run, amp + o);
-    }
-  }
-  amplitudes_.resize(half);
+  // The shrinking resize keeps the capacity, so the next grow_state does
+  // not reallocate.
+  kernels::remove_bit_in_place(amplitudes_.data(), amplitudes_.size(), pos,
+                               bit);
+  amplitudes_.resize(amplitudes_.size() / 2);
 }
 
 void StateVector::apply_at(const Gate1Q& gate, std::size_t pos,

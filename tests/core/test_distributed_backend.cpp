@@ -18,8 +18,10 @@
 // structurally.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -303,16 +305,18 @@ TEST(SliceAddressing, SingleProcessOwnsEverySlice) {
 
 namespace {
 
-/// A two-rank exchange fabric in one process: the slab, publish and
-/// consensus surfaces of the peer plane over shared maps, so two
-/// ShardedStateVector replicas on two threads behave like the replicas of
-/// a two-process distributed job, and their white-box counters can be read.
-class PairFabric {
+/// An exchange fabric for `world` replicas in one process: the slab,
+/// publish and partials surfaces of the peer plane over shared maps, so
+/// ShardedStateVector replicas on threads behave like the replicas of a
+/// distributed job, and their white-box counters can be read.
+class ReplicaFabric {
  public:
+  explicit ReplicaFabric(unsigned world) : world_(world) {}
+
   class Rank final : public sim::ExchangeProvider {
    public:
-    Rank(PairFabric& f, unsigned rank) : f_(f), rank_(rank) {}
-    unsigned world() const override { return 2; }
+    Rank(ReplicaFabric& f, unsigned rank) : f_(f), rank_(rank) {}
+    unsigned world() const override { return f_.world_; }
     unsigned rank() const override { return rank_; }
     void post(unsigned dest, unsigned, sim::ShardMessage msg) override {
       f_.put(f_.slabs_, {dest, msg.source, msg.tag},
@@ -324,51 +328,160 @@ class PairFabric {
     }
     void publish(unsigned slice, std::uint64_t tag,
                  std::span<const sim::Complex> amps) override {
-      f_.put(f_.published_, {1 - rank_, slice, tag},
-             {amps.begin(), amps.end()});
+      for (unsigned r = 0; r < f_.world_; ++r) {
+        if (r != rank_) {
+          f_.put(f_.published_, {r, slice, tag}, {amps.begin(), amps.end()});
+        }
+      }
     }
     std::vector<sim::Complex> take_published(unsigned slice,
                                              std::uint64_t tag) override {
       return f_.get(f_.published_, {rank_, slice, tag});
     }
-    double scalar_consensus(std::uint64_t tag, double value) override {
-      if (rank_ == 0) {
-        f_.put(f_.scalars_, {0, 0, tag}, {sim::Complex(value, 0.0)});
-        return value;
+    std::vector<std::vector<double>> allgather_partials(
+        std::uint64_t tag, std::vector<double> mine) override {
+      for (unsigned r = 0; r < f_.world_; ++r) {
+        if (r != rank_) f_.put(f_.partials_, {r, rank_, tag}, mine);
       }
-      return f_.get(f_.scalars_, {0, 0, tag}).front().real();
+      std::vector<std::vector<double>> all(f_.world_);
+      for (unsigned r = 0; r < f_.world_; ++r) {
+        all[r] = r == rank_ ? mine : f_.get(f_.partials_, {rank_, r, tag});
+      }
+      return all;
     }
-    void fail(const std::string&) override {}
+    void fail(const std::string& reason) override { f_.fail(reason); }
 
    private:
-    PairFabric& f_;
+    ReplicaFabric& f_;
     unsigned rank_;
   };
 
  private:
   using Key = std::tuple<unsigned, unsigned, std::uint64_t>;
-  using Store = std::map<Key, std::vector<sim::Complex>>;
+  template <typename T>
+  using Store = std::map<Key, std::vector<T>>;
 
-  void put(Store& store, Key key, std::vector<sim::Complex> amps) {
+  template <typename T>
+  void put(Store<T>& store, Key key, std::vector<T> values) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      store[key] = std::move(amps);
+      store[key] = std::move(values);
     }
     cv_.notify_all();
   }
-  std::vector<sim::Complex> get(Store& store, Key key) {
+  template <typename T>
+  std::vector<T> get(Store<T>& store, Key key) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return store.contains(key); });
+    cv_.wait(lock, [&] { return store.contains(key) || !failed_.empty(); });
+    if (!store.contains(key)) throw sim::SimulatorError(failed_);
     auto node = store.extract(key);
     return std::move(node.mapped());
   }
+  void fail(const std::string& reason) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (failed_.empty()) failed_ = reason;
+    }
+    cv_.notify_all();
+  }
 
+  unsigned world_;
   std::mutex mu_;
   std::condition_variable cv_;
-  Store slabs_;      ///< (dest slice, source slice, tag)
-  Store published_;  ///< (receiving rank, slice, tag)
-  Store scalars_;    ///< (0, 0, tag)
+  std::string failed_;
+  Store<sim::Complex> slabs_;      ///< (dest slice, source slice, tag)
+  Store<sim::Complex> published_;  ///< (receiving rank, slice, tag)
+  Store<double> partials_;         ///< (receiving rank, sending rank, tag)
 };
+
+/// Runs `program(sv, rank)` on `world` replicas of one distributed
+/// `shards`-slice register, one thread each. A replica that throws fails
+/// the fabric, so the others wake instead of waiting for it.
+void run_replicas(
+    unsigned world, unsigned shards,
+    const std::function<void(sim::ShardedStateVector&, unsigned)>& program) {
+  ReplicaFabric fabric(world);
+  std::vector<std::thread> threads;
+  for (unsigned r = 0; r < world; ++r) {
+    threads.emplace_back([&, r] {
+      ReplicaFabric::Rank exchange(fabric, r);
+      try {
+        sim::ShardedStateVector sv(shards, kSeed, &exchange);
+        program(sv, r);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "replica " << r << ": " << e.what();
+        exchange.fail(e.what());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+/// What one run of tfim_shaped saw.
+struct TfimRecord {
+  std::vector<double> probs;  ///< probabilities and norms, in program order
+  std::vector<bool> bits;     ///< measurement outcomes, in program order
+  std::uint64_t gathers = 0;  ///< replica gathers while all shards active
+};
+
+/// A TFIM-ring-shaped program on 18 spins, the shape of a distributed TFIM
+/// job: H on every spin, CNOT-Rz-CNOT chains, EPR-style cycles that grow
+/// the register by a Bell pair, couple it to the spins and measure it out
+/// again, then probability_one, measure and free of every spin. `sharded`
+/// (null on the serial backend) is `sv` itself, for its gather counter.
+TfimRecord tfim_shaped(sim::Backend& sv,
+                       const sim::ShardedStateVector* sharded) {
+  constexpr std::size_t kSpins = 18;
+  TfimRecord rec;
+  const auto q = sv.allocate(kSpins);
+  const std::uint64_t gathers = sharded ? sharded->materializations() : 0;
+  for (const auto s : q) sv.h(s);
+  for (int step = 0; step < 2; ++step) {
+    for (std::size_t i = 0; i + 1 < kSpins; ++i) {
+      sv.cnot(q[i], q[i + 1]);
+      sv.rz(q[i + 1], 0.2 + 0.01 * static_cast<double>(i + step));
+      sv.cnot(q[i], q[i + 1]);
+    }
+    for (const std::size_t edge : {kSpins / 2 - 1, kSpins - 1}) {
+      const auto pair = sv.allocate(2);
+      sv.h(pair[0]);
+      sv.cnot(pair[0], pair[1]);
+      sv.cnot(q[(edge + 1) % kSpins], pair[0]);
+      const bool copied = sv.release(pair[0]);
+      rec.bits.push_back(copied);
+      if (copied) sv.x(pair[1]);
+      sv.cnot(q[edge], pair[1]);
+      sv.rz(pair[1], 0.3);
+      sv.cnot(q[edge], pair[1]);
+      sv.h(pair[1]);
+      const bool phase = sv.release(pair[1]);
+      rec.bits.push_back(phase);
+      if (phase) sv.z(q[(edge + 1) % kSpins]);
+    }
+    for (const auto s : q) sv.rx(s, -0.25);
+  }
+  rec.probs.push_back(sv.norm());
+  for (const auto s : q) rec.probs.push_back(sv.probability_one(s));
+  rec.bits.push_back(sv.measure_parity(std::vector{q[2], q[11]}));
+  for (const auto s : q) {
+    const bool bit = sv.measure(s);
+    rec.bits.push_back(bit);
+    if (bit) sv.x(s);
+  }
+  // Free every spin; the last log2(shards) frees shrink the active slice
+  // count, which still gathers.
+  const std::size_t gbits =
+      sharded ? static_cast<std::size_t>(
+                    std::countr_zero(sharded->num_shards()))
+              : 0;
+  for (std::size_t i = 0; i < kSpins; ++i) {
+    if (i + gbits == kSpins && sharded) {
+      rec.gathers = sharded->materializations() - gathers;
+    }
+    sv.deallocate(q[i]);
+  }
+  return rec;
+}
 
 }  // namespace
 
@@ -376,12 +489,12 @@ TEST(DistributedBackend, FreshQubitProbabilityAddsNoGather) {
   // Each replica writes only its resident slices on a local gate, so the
   // next whole-state reduction must gather. probability_one of a fresh
   // qubit needs no reduction at all: its answer (exactly 0.0) is known.
-  PairFabric fabric;
+  ReplicaFabric fabric(2);
   std::uint64_t fresh_gathers[2] = {};
   std::uint64_t reduce_gathers[2] = {};
   double p_fresh[2] = {};
   auto replica = [&](unsigned r) {
-    PairFabric::Rank exchange(fabric, r);
+    ReplicaFabric::Rank exchange(fabric, r);
     sim::ShardedStateVector sv(2, kSeed, &exchange);
     const auto q = sv.allocate(4);
     sv.h(q[0]);
@@ -404,6 +517,100 @@ TEST(DistributedBackend, FreshQubitProbabilityAddsNoGather) {
     EXPECT_EQ(fresh_gathers[r], 0u) << "rank " << r;
     // The counter does see a real reduction's gather.
     EXPECT_EQ(reduce_gathers[r], 1u) << "rank " << r;
+  }
+}
+
+TEST(DistributedBackend, TfimShapedJobMatchesSerialWithoutGathers) {
+  // Once all shards are active, grows and frees stay on the resident
+  // slices and reductions exchange chunk partials: no replica gather, and
+  // every probability, norm and outcome equals the serial run's exactly.
+  sim::StateVector serial(kSeed);
+  const TfimRecord want = tfim_shaped(serial, nullptr);
+  for (const auto& [world, shards] :
+       {std::pair{2U, 2U}, std::pair{4U, 4U}, std::pair{2U, 4U}}) {
+    std::vector<TfimRecord> got(world);
+    run_replicas(world, shards,
+                 [&](sim::ShardedStateVector& sv, unsigned r) {
+                   got[r] = tfim_shaped(sv, &sv);
+                 });
+    for (unsigned r = 0; r < world; ++r) {
+      const std::string where = "world " + std::to_string(world) + ", " +
+                                std::to_string(shards) + " shards, rank " +
+                                std::to_string(r);
+      EXPECT_EQ(got[r].gathers, 0u) << where;
+      EXPECT_EQ(got[r].probs, want.probs) << where;
+      EXPECT_EQ(got[r].bits, want.bits) << where;
+    }
+  }
+}
+
+TEST(DistributedBackend, GlobalWindowBitTakesOneSwapInsteadOfAGather) {
+  // 16 qubits on 2 slices: every local bit carries a logical position a
+  // reduction chunk spans, so the relabel of H on the global qubit 15
+  // evicts the least recently used one, logical 0. The next reduction's
+  // chunks then span a global bit: it swaps that bit back local (moving
+  // half a slice) rather than gathering the state.
+  constexpr std::size_t kQubits = 16;
+  const auto program = [](sim::Backend& sv) {
+    const auto q = sv.allocate(kQubits);
+    sv.h(q[0]);
+    sv.flush_gates();
+    for (std::size_t i = 1; i + 1 < kQubits; ++i) sv.ry(q[i], 0.1 * i);
+    sv.flush_gates();
+    sv.h(q[kQubits - 1]);
+    sv.flush_gates();
+    return q;
+  };
+  sim::StateVector serial(kSeed);
+  const double want = serial.probability_one(program(serial)[3]);
+  double got[2] = {};
+  std::uint64_t swaps[2] = {};
+  std::uint64_t gathers[2] = {};
+  run_replicas(2, 2, [&](sim::ShardedStateVector& sv, unsigned r) {
+    const auto q = program(sv);
+    const std::uint64_t swaps0 = sv.relabel_swaps();
+    const std::uint64_t gathers0 = sv.materializations();
+    got[r] = sv.probability_one(q[3]);
+    swaps[r] = sv.relabel_swaps() - swaps0;
+    gathers[r] = sv.materializations() - gathers0;
+  });
+  for (unsigned r = 0; r < 2; ++r) {
+    EXPECT_EQ(swaps[r], 1u) << "rank " << r;
+    EXPECT_EQ(gathers[r], 0u) << "rank " << r;
+    EXPECT_EQ(got[r], want) << "rank " << r;
+  }
+}
+
+TEST(DistributedBackend, SingleChunkReductionGathersOnce) {
+  // A 12-qubit reduction is one chunk: its sum cannot be split across
+  // ranks without re-associating it, so the replica gathers, once, and
+  // stays fresh for the next reduction.
+  constexpr std::size_t kQubits = 12;
+  const auto program = [](sim::Backend& sv) {
+    const auto q = sv.allocate(kQubits);
+    for (std::size_t i = 0; i < kQubits; ++i) sv.ry(q[i], 0.2 + 0.1 * i);
+    for (std::size_t i = 0; i + 1 < kQubits; ++i) sv.cnot(q[i], q[i + 1]);
+    sv.flush_gates();
+    return q;
+  };
+  sim::StateVector serial(kSeed);
+  const auto qs = program(serial);
+  const double want[2] = {serial.probability_one(qs[4]),
+                          serial.probability_one(qs[kQubits - 1])};
+  for (const unsigned world : {2U, 4U}) {
+    std::vector<std::array<double, 2>> got(world);
+    std::vector<std::uint64_t> gathers(world);
+    run_replicas(world, world, [&](sim::ShardedStateVector& sv, unsigned r) {
+      const auto q = program(sv);
+      const std::uint64_t gathers0 = sv.materializations();
+      got[r] = {sv.probability_one(q[4]), sv.probability_one(q[kQubits - 1])};
+      gathers[r] = sv.materializations() - gathers0;
+    });
+    for (unsigned r = 0; r < world; ++r) {
+      EXPECT_EQ(gathers[r], 1u) << "world " << world << ", rank " << r;
+      EXPECT_EQ(got[r][0], want[0]) << "world " << world << ", rank " << r;
+      EXPECT_EQ(got[r][1], want[1]) << "world " << world << ", rank " << r;
+    }
   }
 }
 
@@ -491,6 +698,53 @@ TEST(DistributedBackend, MidRunRankDeathSurfacesTypedErrorWithoutHanging) {
     const std::string what = e.what();
     EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
   }
+}
+
+TEST(DistributedBackend, DeadPeerDuringPartialsExchangeRaisesTypedError) {
+  // Process 0 waits in a reduction's partials exchange for process 1,
+  // which dies right after process 0's partials reach it. The abort must
+  // reach the waiter through the transport's fail hook (DistSimClient
+  // wires it to its provider's fail) as a SimulatorError carrying the
+  // reason, never a hang.
+  std::promise<void> peer_hooked;
+  std::promise<void> partials_arrived;
+  std::atomic<bool> arrived{false};
+  std::string error;
+  try {
+    run_processes({}, [&](int proc, HubClient&, SocketTransport& transport,
+                          const std::shared_ptr<DistSimClient>&) {
+      if (proc == 1) {
+        transport.set_sim_hooks(
+            {[&](Message) {
+               if (!arrived.exchange(true)) partials_arrived.set_value();
+             },
+             [] {}, [](const std::string&) {}});
+        peer_hooked.set_value();
+        (void)partials_arrived.get_future().wait_for(
+            std::chrono::seconds(20));
+        transport.set_sim_hooks({});
+        throw QmpiError("process 1 dies before sending its partials");
+      }
+      PeerExchange exchange(transport, /*num_ranks=*/2, /*nprocs=*/2,
+                            /*proc_id=*/0, /*num_shards=*/2);
+      peer_hooked.get_future().wait();
+      transport.set_sim_hooks(
+          {[&](Message m) { exchange.deliver(std::move(m)); }, [] {},
+           [&](const std::string& reason) { exchange.fail(reason); }});
+      try {
+        (void)exchange.allgather_partials(/*tag=*/1, {0.5});
+      } catch (const sim::SimulatorError& e) {
+        error = e.what();
+      } catch (const std::exception& e) {
+        error = std::string("untyped: ") + e.what();
+      }
+      transport.set_sim_hooks({});
+    });
+  } catch (const std::exception&) {
+    // The job itself fails; what matters is how process 0's wait ended.
+  }
+  EXPECT_NE(error.find("shard exchange failed"), std::string::npos) << error;
+  EXPECT_NE(error.find("process 1 dies"), std::string::npos) << error;
 }
 
 TEST(DistributedBackend, BackendErrorsKeepJobAliveAndAttributed) {

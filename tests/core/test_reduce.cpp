@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "core/protocol_tags.hpp"
 #include "helpers.hpp"
 
 using namespace qmpi;
@@ -212,6 +213,23 @@ TEST(QmpiReduce, ReduceScatterBlockDeliversBlockParities) {
     ctx.unreduce_scatter_block(handles, q);
     ctx.barrier();
   });
+}
+
+TEST(QmpiReduce, ExscanRejectsTagsOutsideTheReductionBand) {
+  // Like reduce and scan: a tag outside [0, kMaxReduceTag] would put the
+  // exscan chain's traffic in another tag band (-2^17 lands in the user
+  // band), so it must be refused up front.
+  for (const int tag : {-(1 << 17), detail::kMaxReduceTag + 1}) {
+    EXPECT_THROW(run(2,
+                     [tag](Context& ctx) {
+                       QubitArray q = ctx.alloc_qmem(1);
+                       ReductionHandle h =
+                           ctx.exscan(q, 1, parity_op(), tag);
+                       ctx.unexscan(h, q);
+                     }),
+                 QmpiError)
+        << "tag " << tag;
+  }
 }
 
 TEST(QmpiReduce, MisusedHandleThrows) {

@@ -275,9 +275,10 @@ TEST(ClusterFusion, OversizedControlledGateAppliesEagerly) {
 TEST(ClusterFusion, LocalizedClusterNeedsZeroExchanges) {
   // 10 qubits, 4 shards -> 8 local bits. A cluster on the two *global*
   // qubits fits the local budget, so the planner relabels it local (LRU
-  // victims) and the sweep itself never touches the ShardMesh. Prepare
-  // with the policy off so the layout stays identity and the top qubits
-  // really are physically global when the cluster flushes.
+  // victims) and the sweep itself never touches the ShardMesh. Qubits
+  // allocated once all four slices are active take new local bits, so
+  // q[0] and q[1] are the global ones; prepare with the policy off so the
+  // layout stays as allocated until the cluster flushes.
   constexpr std::size_t kN = 10;
   sim::ShardedStateVector sharded(4, 21);
   sharded.set_relabel_policy(false);
@@ -288,9 +289,9 @@ TEST(ClusterFusion, LocalizedClusterNeedsZeroExchanges) {
   const std::uint64_t exchanges_before = sharded.exchange_sweeps();
   ASSERT_EQ(sharded.relabel_swaps(), 0u);
   // Both qubits global at 4 shards; three ops so the cluster path runs.
-  sharded.h(q[kN - 1]);
-  sharded.cnot(q[kN - 1], q[kN - 2]);
-  sharded.h(q[kN - 2]);
+  sharded.h(q[0]);
+  sharded.cnot(q[0], q[1]);
+  sharded.h(q[1]);
   sharded.flush_gates();
   EXPECT_GE(sharded.cluster_sweeps(), 1u);
   EXPECT_EQ(sharded.exchange_sweeps(), exchanges_before);
@@ -302,9 +303,9 @@ TEST(ClusterFusion, LocalizedClusterNeedsZeroExchanges) {
   const auto p = serial.allocate(kN);
   for (std::size_t i = 0; i < kN; ++i) serial.ry(p[i], 0.1 + 0.05 * i);
   serial.flush_gates();
-  serial.h(p[kN - 1]);
-  serial.cnot(p[kN - 1], p[kN - 2]);
-  serial.h(p[kN - 2]);
+  serial.h(p[0]);
+  serial.cnot(p[0], p[1]);
+  serial.h(p[1]);
   expect_exact(serial.snapshot(), sharded.snapshot());
 }
 

@@ -11,6 +11,8 @@
 // draw for draw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <random>
 #include <vector>
 
@@ -23,8 +25,23 @@ using sim::Complex;
 namespace {
 
 // 8 shards leave 2^10 local amplitudes per slice; global qubits are
-// positions kQubits-3 and up at the largest shard count.
+// positions kQubits-3 and up at the largest shard count (in the order
+// allocate_in_physical_order lists them).
 constexpr std::size_t kQubits = 13;
+
+/// Allocates `n` qubits, listed so that on a fresh `shards`-slice register
+/// q[i] sits on physical bit i. A sharded register puts every qubit
+/// allocated once all slices are active on a new top local bit, so its
+/// first log2(shards) qubits hold the global bits: listing them last makes
+/// q[n-1], q[n-2], ... global. Both backends get the same list, so
+/// programs stay identical.
+std::vector<sim::QubitId> allocate_in_physical_order(sim::Backend& sv,
+                                                     std::size_t n,
+                                                     unsigned shards) {
+  std::vector<sim::QubitId> q = sv.allocate(n);
+  std::rotate(q.begin(), q.begin() + std::countr_zero(shards), q.end());
+  return q;
+}
 
 const unsigned kShardCounts[] = {1, 2, 4, 8};
 
@@ -61,8 +78,8 @@ void check_identity(Program&& program, unsigned shards,
   sharded.set_relabel_policy(relabel_policy);
   sharded.set_num_threads(threads);
   serial.set_num_threads(threads);
-  const auto qs = serial.allocate(kQubits);
-  const auto qt = sharded.allocate(kQubits);
+  const auto qs = allocate_in_physical_order(serial, kQubits, shards);
+  const auto qt = allocate_in_physical_order(sharded, kQubits, shards);
   prepare(serial, qs);
   prepare(sharded, qt);
   program(serial, qs);
@@ -95,8 +112,8 @@ TEST(ShardedIdentity, GlobalDiagonalGatesNeedNoExchange) {
   for (const unsigned s : kShardCounts) {
     sim::StateVector serial(7);
     sim::ShardedStateVector sharded(s, 7);
-    const auto qs = serial.allocate(kQubits);
-    const auto qt = sharded.allocate(kQubits);
+    const auto qs = allocate_in_physical_order(serial, kQubits, s);
+    const auto qt = allocate_in_physical_order(sharded, kQubits, s);
     prepare(serial, qs);
     prepare(sharded, qt);
     const std::uint64_t exchanges_before = sharded.exchange_sweeps();
@@ -139,8 +156,8 @@ TEST(ShardedIdentity, MeasurementAndCollapse) {
   for (const unsigned s : kShardCounts) {
     sim::StateVector serial(42);
     sim::ShardedStateVector sharded(s, 42);
-    const auto qs = serial.allocate(kQubits);
-    const auto qt = sharded.allocate(kQubits);
+    const auto qs = allocate_in_physical_order(serial, kQubits, s);
+    const auto qt = allocate_in_physical_order(sharded, kQubits, s);
     prepare(serial, qs);
     prepare(sharded, qt);
     // Same RNG seed + bit-identical probabilities => same outcomes.
@@ -156,8 +173,8 @@ TEST(ShardedIdentity, ParityMeasurementSpanningShards) {
   for (const unsigned s : kShardCounts) {
     sim::StateVector serial(42);
     sim::ShardedStateVector sharded(s, 42);
-    const auto qs = serial.allocate(kQubits);
-    const auto qt = sharded.allocate(kQubits);
+    const auto qs = allocate_in_physical_order(serial, kQubits, s);
+    const auto qt = allocate_in_physical_order(sharded, kQubits, s);
     prepare(serial, qs);
     prepare(sharded, qt);
     const sim::QubitId js[] = {qs[0], qs[6], qs[kQubits - 1]};
@@ -171,8 +188,8 @@ TEST(ShardedIdentity, ReleaseAllocateDynamics) {
   for (const unsigned s : kShardCounts) {
     sim::StateVector serial(99);
     sim::ShardedStateVector sharded(s, 99);
-    auto qs = serial.allocate(kQubits);
-    auto qt = sharded.allocate(kQubits);
+    auto qs = allocate_in_physical_order(serial, kQubits, s);
+    auto qt = allocate_in_physical_order(sharded, kQubits, s);
     prepare(serial, qs);
     prepare(sharded, qt);
     // Shrink below, then grow past, the shard budget's comfort zone.
@@ -226,8 +243,8 @@ TEST(ShardedIdentity, ScalarObservablesExactlyEqual) {
   for (const unsigned s : kShardCounts) {
     sim::StateVector serial(99);
     sim::ShardedStateVector sharded(s, 99);
-    const auto qs = serial.allocate(kQubits);
-    const auto qt = sharded.allocate(kQubits);
+    const auto qs = allocate_in_physical_order(serial, kQubits, s);
+    const auto qt = allocate_in_physical_order(sharded, kQubits, s);
     prepare(serial, qs);
     prepare(sharded, qt);
     // Reductions share chunk size and combine order, so these must match
@@ -250,10 +267,11 @@ TEST(ShardedIdentity, ScalarObservablesExactlyEqual) {
 
 TEST(ShardedIdentity, RelabelPolicyKeepsHotQubitsLocal) {
   sim::ShardedStateVector sharded(4, 1);
-  // Prepare with the policy off so the layout stays identity (exchanges
-  // move amplitudes, never labels) and q[kQubits-1] is physically global.
+  // Prepare with the policy off so the layout stays as allocated
+  // (exchanges move amplitudes, never labels) and q[kQubits-1] is
+  // physically global.
   sharded.set_relabel_policy(false);
-  const auto q = sharded.allocate(kQubits);
+  const auto q = allocate_in_physical_order(sharded, kQubits, 4);
   prepare(sharded, q);
   sharded.set_relabel_policy(true);
   const std::uint64_t exchanges_before = sharded.exchange_sweeps();
@@ -274,7 +292,7 @@ TEST(ShardedIdentity, RelabelPolicyKeepsHotQubitsLocal) {
   // With the policy off, the same traffic pays one exchange per sweep.
   sim::ShardedStateVector direct(4, 1);
   direct.set_relabel_policy(false);
-  const auto p = direct.allocate(kQubits);
+  const auto p = allocate_in_physical_order(direct, kQubits, 4);
   prepare(direct, p);  // the entangling chain itself pays exchanges here
   const std::uint64_t direct_before = direct.exchange_sweeps();
   direct.h(p[kQubits - 1]);
@@ -289,8 +307,8 @@ TEST(ShardedIdentity, RandomCircuitsWithMeasurement) {
   for (const unsigned s : kShardCounts) {
     sim::StateVector serial(777);
     sim::ShardedStateVector sharded(s, 777);
-    auto qs = serial.allocate(kQubits);
-    auto qt = sharded.allocate(kQubits);
+    auto qs = allocate_in_physical_order(serial, kQubits, s);
+    auto qt = allocate_in_physical_order(sharded, kQubits, s);
     std::mt19937_64 rng(4242);  // one program, replayed on both backends
     std::uniform_real_distribution<double> angle(-3.0, 3.0);
     std::uniform_int_distribution<std::size_t> pick(0, kQubits - 1);
@@ -347,8 +365,8 @@ TEST(ShardedIdentity, ThreadedShardsStayBitIdentical) {
         sim::ShardedStateVector sharded(s, 31);
         sharded.set_relabel_policy(relabel);
         sharded.set_num_threads(t);
-        const auto qs = serial.allocate(kBig);
-        const auto qt = sharded.allocate(kBig);
+        const auto qs = allocate_in_physical_order(serial, kBig, s);
+        const auto qt = allocate_in_physical_order(sharded, kBig, s);
         prepare(serial, qs);
         prepare(sharded, qt);
         auto program = [](sim::Backend& sv,

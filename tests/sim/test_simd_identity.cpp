@@ -18,6 +18,8 @@
 // counts 1/2/4/8; worker-lane splits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -94,7 +96,13 @@ void check_tiers(Program&& program, unsigned shards = 0,
       sv = std::make_unique<sim::ShardedStateVector>(shards, 1234);
     }
     sv->set_num_threads(threads);
-    const auto q = sv->allocate(qubits);
+    // List the qubits so that q[i] sits on physical bit i: a sharded
+    // register puts every qubit allocated once all slices are active on a
+    // new top local bit, so its first log2(shards) qubits hold the global
+    // bits and go last.
+    std::vector<sim::QubitId> q = sv->allocate(qubits);
+    std::rotate(q.begin(), q.begin() + std::countr_zero(std::max(shards, 1U)),
+                q.end());
     prepare(*sv, q);
     program(*sv, q);
     sv->flush_gates();

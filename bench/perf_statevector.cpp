@@ -250,8 +250,7 @@ BENCHMARK(BM_RotationThreaded)
 // Args are {qubits, shards}. One worker lane per shard (the distributed-
 // sweep deployment model), so this series is the shard-count scaling
 // record for BENCH JSON: local gates split embarrassingly across slices,
-// global gates pay a pairwise slab exchange through the ShardMesh (or a
-// one-off relabel swap with the policy on).
+// a global gate pays a one-off relabel swap through the ShardMesh.
 
 void BM_RotationSharded(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -293,32 +292,11 @@ BENCHMARK(BM_LocalGateSharded)
     ->Args({22, 2})
     ->Args({22, 4});
 
-void BM_GlobalGateShardedExchange(benchmark::State& state) {
-  // Worst case: every iteration is a dense gate on a global qubit with the
-  // relabel pass disabled, so each sweep pays the full slab exchange. The
-  // first qubit holds a global bit: every qubit allocated once all slices
-  // are active takes a new local bit.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<unsigned>(state.range(1));
-  sim::ShardedStateVector sv(shards, g_seed);
-  sv.set_relabel_policy(false);
-  sv.set_num_threads(shards);
-  const auto q = sv.allocate(n);
-  for (auto _ : state) {
-    sv.h(q[0]);
-    sv.flush_gates();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_GlobalGateShardedExchange)
-    ->Args({20, 2})
-    ->Args({20, 4})
-    ->Args({22, 2})
-    ->Args({22, 4});
-
 void BM_GlobalGateShardedRelabel(benchmark::State& state) {
-  // Same traffic with the relabel pass on: the first sweep swaps the hot
-  // qubit local, every later sweep is communication-free.
+  // Every iteration is a dense gate on a global qubit: the first sweep
+  // swaps the hot qubit local, every later sweep is communication-free.
+  // The first qubit holds a global bit: every qubit allocated once all
+  // slices are active takes a new local bit.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<unsigned>(state.range(1));
   sim::ShardedStateVector sv(shards, g_seed);
@@ -331,27 +309,6 @@ void BM_GlobalGateShardedRelabel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_GlobalGateShardedRelabel)
-    ->Args({20, 2})
-    ->Args({20, 4})
-    ->Args({22, 2})
-    ->Args({22, 4});
-
-void BM_CnotSharded(benchmark::State& state) {
-  // Control local, target global (q[0], see above): the exchange only
-  // moves the control-satisfying half of each slice.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<unsigned>(state.range(1));
-  sim::ShardedStateVector sv(shards, g_seed);
-  sv.set_relabel_policy(false);
-  sv.set_num_threads(shards);
-  const auto q = sv.allocate(n);
-  for (auto _ : state) {
-    sv.cnot(q[n - 1], q[0]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CnotSharded)
-    ->Args({20, 1})
     ->Args({20, 2})
     ->Args({20, 4})
     ->Args({22, 2})

@@ -22,7 +22,7 @@ constexpr int kSimTagFence = 2;  ///< sequencing marker, echo to origin
 constexpr int kSimTagError = 3;  ///< root-hosted reply carrying an error
 
 /// Sub-kinds of kSimData payloads (first byte).
-constexpr std::uint8_t kDataSlab = 0;      ///< pairwise exchange slab
+constexpr std::uint8_t kDataSlab = 0;      ///< relabel-swap slab
 constexpr std::uint8_t kDataPublish = 1;   ///< replica materialization slice
 constexpr std::uint8_t kDataPartials = 2;  ///< a rank's reduction partials
 

@@ -5,7 +5,7 @@
 /// the transport's sim channels to the root process (world rank 0's),
 /// which either runs it on the one backend it hosts (serial, sharded) or,
 /// with QMPI_BACKEND=distributed, fans it out to a ShardedStateVector
-/// replica in every rank process, global gates moving amplitude slabs
+/// replica in every rank process, relabel swaps moving amplitude slabs
 /// rank-to-rank over the peer data plane. See docs/ARCHITECTURE.md §6a.
 ///
 /// The distributed design in one paragraph: storage is replicated (every

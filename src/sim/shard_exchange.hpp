@@ -52,10 +52,11 @@ inline unsigned slice_owner(unsigned world, unsigned active, unsigned slice) {
 /// (in-process ShardMesh) implementation and an out-of-box (cross-rank peer
 /// channel) implementation.
 ///
-/// The pairwise surface (post/take) carries the slab exchange of global
-/// gates and relabel swaps: post is eager and addressed to a *slice* (the
-/// provider routes it to that slice's owning rank for the given active
-/// count); take blocks until the matching (dest, source, tag) slab arrives.
+/// The pairwise surface (post/take) carries the slab exchange of relabel
+/// swaps, the only pairwise traffic: post is eager and addressed to a
+/// *slice* (the provider routes it to that slice's owning rank for the
+/// given active count); take blocks until the matching (dest, source, tag)
+/// slab arrives.
 ///
 /// The collective surface exists for world > 1. allgather_partials()
 /// swaps the per-chunk partial sums of a reduction: each rank sums the
@@ -109,8 +110,8 @@ class ExchangeProvider {
 /// mailboxes in classical/mailbox.hpp: one inbox per shard, FIFO per
 /// (source, tag), blocking matched receive. This is the in-box stand-in for
 /// the cross-rank exchange a multi-rank sharded simulator performs when a
-/// gate acts on a global qubit — each shard posts the slab its partner
-/// needs, then takes the partner's slab and combines locally.
+/// global qubit is swapped local — each shard posts the slab its partner
+/// needs, then takes the partner's slab into the vacated slots.
 ///
 /// post() never blocks (eager, buffered, like classical::Comm::send_bytes);
 /// take() blocks until a matching message arrives. The sharded sweeps run

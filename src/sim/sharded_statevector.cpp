@@ -265,31 +265,29 @@ void ShardedStateVector::remove_position_state(std::size_t pos, bool bit) {
 void ShardedStateVector::apply_at(const Gate1Q& gate, std::size_t pos,
                                   std::uint64_t ctrl_mask) const {
   const std::size_t nl = local_bits();
-  const std::uint64_t m = 1ULL << nl;
   const std::size_t pt = l2p_[pos];
-  const std::uint64_t pmask = to_physical(ctrl_mask);
-  const std::uint64_t local_mask = pmask & (m - 1);
-  const unsigned shard_ctrl = static_cast<unsigned>(pmask >> nl);
-
-  if (pt < nl) {
-    apply_local(gate, pt, shard_ctrl, local_mask);
-    return;
-  }
-  const unsigned target_bit = 1U << (pt - nl);
-  if (kernels::classify(gate) == kernels::GateKind::kDiagonal) {
+  if (pt >= nl && kernels::classify(gate) == kernels::GateKind::kDiagonal) {
     // Diagonal on a global qubit: the shard index fixes the target bit, so
     // each slice just scales — no communication, no reason to relabel.
-    apply_global_diagonal(gate, target_bit, shard_ctrl, local_mask);
+    const std::uint64_t pmask = to_physical(ctrl_mask);
+    apply_global_diagonal(gate, 1U << (pt - nl),
+                          static_cast<unsigned>(pmask >> nl),
+                          pmask & ((1ULL << nl) - 1));
     return;
   }
-  if (relabel_policy_ && nl > 0) {
-    // Swap the hot global bit with the coldest local bit, then the gate
-    // (and any follow-ups on the same qubit) applies locally.
-    relabel_swap(pt, pick_victim(nl));
-    apply_at(gate, pos, ctrl_mask);
-    return;
-  }
-  apply_global_exchange(gate, target_bit, shard_ctrl, local_mask);
+  // The gathered block holds just the target bit; controls are fixed bits
+  // of the block enumeration.
+  std::vector<kernels::BlockOp> ops;
+  kernels::compile_block_op(gate, /*target=*/0, /*ctrl_mask=*/0,
+                            /*block_size=*/2, ops);
+  sweep_blocks_planned(
+      std::span<const std::size_t>(&pos, 1), ctrl_mask,
+      [&gate](Complex* amp, std::size_t m, std::span<const std::size_t> pts,
+              std::uint64_t local_mask, auto&& pfor) {
+        kernels::apply_1q(amp, m, pts[0], gate, local_mask,
+                          std::forward<decltype(pfor)>(pfor));
+      },
+      [&ops](Complex* block) { kernels::run_block_ops(block, ops); });
 }
 
 template <typename LocalFn, typename BlockFn>
@@ -298,43 +296,33 @@ void ShardedStateVector::sweep_blocks_planned(
     LocalFn&& local_fn, BlockFn&& block_fn) const {
   const std::size_t k = pos.size();
   const std::size_t nl = local_bits();
+  const std::size_t m = 1ULL << nl;
+  std::vector<std::size_t> pt(k);
+  for (std::size_t j = 0; j < k; ++j) pt[j] = l2p_[pos[j]];
 
-  if (relabel_policy_ && k <= nl && nl > 0) {
+  if (k <= nl) {
     // Pull every global block bit local before the sweep. The LRU pass is
     // consulted up front — victims are the coldest local bits that are not
-    // themselves part of the cluster — so hot cluster qubits end up local
-    // and the sweep below needs zero ShardMesh exchanges.
+    // themselves part of the block — so hot block qubits end up local.
     std::uint64_t reserved = 0;
-    for (const std::size_t p : pos) {
-      const std::size_t pt = l2p_[p];
-      if (pt < nl) reserved |= 1ULL << pt;
+    for (const std::size_t p : pt) {
+      if (p < nl) reserved |= 1ULL << p;
     }
-    for (const std::size_t p : pos) {
-      const std::size_t pt = l2p_[p];
-      if (pt < nl) continue;
+    for (std::size_t& p : pt) {
+      if (p < nl) continue;
       const std::size_t victim = pick_victim(nl, reserved);
-      relabel_swap(pt, victim);
+      relabel_swap(p, victim);
+      p = victim;
       reserved |= 1ULL << victim;
     }
-  }
-
-  std::vector<std::size_t> pt(k);
-  bool all_local = true;
-  for (std::size_t j = 0; j < k; ++j) {
-    pt[j] = l2p_[pos[j]];
-    all_local = all_local && pt[j] < nl;
-  }
-  const std::uint64_t pmask = to_physical(lmask);
-  const std::size_t m = 1ULL << nl;
-
-  if (all_local) {
-    // Every block bit is intra-slice: each slice sweeps independently with
-    // the same per-block arithmetic as the serial backend — a fused
-    // cluster whose qubits are all local costs no communication at all.
+    // Every block bit is intra-slice now: each slice sweeps independently
+    // with the same per-block arithmetic as the serial backend, at no
+    // further communication.
+    const std::uint64_t pmask = to_physical(lmask);
     const unsigned shard_ctrl = static_cast<unsigned>(pmask >> nl);
     const std::uint64_t local_mask = pmask & (m - 1);
     const std::uint64_t tick = ++op_tick_;
-    for (std::size_t j = 0; j < k; ++j) local_last_use_[pt[j]] = tick;
+    for (const std::size_t p : pt) local_last_use_[p] = tick;
     const std::vector<unsigned> parts =
         resident_parts(controlled_shards(shard_ctrl));
     mark_partial_write();
@@ -352,13 +340,13 @@ void ShardedStateVector::sweep_blocks_planned(
     return;
   }
 
-  // Cross-slice fallback (relabel policy off, or more block bits than the
-  // local budget): enumerate physical block bases over the whole index
-  // space and gather through the slice pointers. Every amplitude belongs
-  // to exactly one block, so lane splits stay race-free, and the per-block
-  // arithmetic is the serial one — bit-identity is preserved. Across ranks
-  // this pays a full materialize; every rank then runs the identical full
-  // sweep, so the replica stays fresh.
+  // More block bits than local bits: enumerate physical block bases over
+  // the whole index space and gather through the slice pointers. Every
+  // amplitude belongs to exactly one block, so lane splits stay race-free,
+  // and the per-block arithmetic is the serial one — bit-identity is
+  // preserved. Across ranks this pays a full materialize; every rank then
+  // runs the identical full sweep, so the replica stays fresh.
+  const std::uint64_t pmask = to_physical(lmask);
   materialize_all();
   const unsigned active = 1U << active_log2();
   std::vector<Complex*> ptr(active);
@@ -420,27 +408,6 @@ void ShardedStateVector::apply_matrix_at(std::span<const Complex> matrix,
       kernels::matrix_block_op(mat, 1ULL << pos.size()));
 }
 
-void ShardedStateVector::apply_local(const Gate1Q& gate, std::size_t pt,
-                                     unsigned shard_ctrl,
-                                     std::uint64_t local_mask) const {
-  local_last_use_[pt] = ++op_tick_;
-  const std::size_t m = 1ULL << local_bits();
-  const std::vector<unsigned> parts =
-      resident_parts(controlled_shards(shard_ctrl));
-  mark_partial_write();
-  if (parts.empty()) return;
-  if (parts.size() == 1) {
-    // One participating slice: let the kernel itself span the lanes.
-    kernels::apply_1q(slices_[parts[0]].data(), m, pt, gate, local_mask,
-                      lanes_pfor(num_threads_));
-    return;
-  }
-  for_shards(parts, [&](unsigned w) {
-    kernels::apply_1q(slices_[w].data(), m, pt, gate, local_mask,
-                      serial_pfor);
-  });
-}
-
 void ShardedStateVector::apply_global_diagonal(
     const Gate1Q& gate, unsigned target_bit, unsigned shard_ctrl,
     std::uint64_t local_mask) const {
@@ -459,8 +426,9 @@ void ShardedStateVector::apply_global_diagonal(
   ex.add_mask(local_mask);
   ex.base = local_mask;
   const std::size_t cnt = m >> std::popcount(local_mask);
-  // One slice sweeping alone gets the worker lanes itself (like
-  // apply_local); with several slices each one is a lane's whole job.
+  // One slice sweeping alone gets the worker lanes itself (like the
+  // planner's all-local sweep); with several slices each one is a lane's
+  // whole job.
   const simd::Ops& vo = simd::ops();
   const auto scale_slice = [&](unsigned w, std::size_t begin,
                                std::size_t end) {
@@ -486,90 +454,6 @@ void ShardedStateVector::apply_global_diagonal(
   }
   for_shards(parts, [&](unsigned w) {
     scale_slice(w, 0, local_mask == 0 ? m : cnt);
-  });
-}
-
-void ShardedStateVector::apply_global_exchange(
-    const Gate1Q& gate, unsigned target_bit, unsigned shard_ctrl,
-    std::uint64_t local_mask) const {
-  ++exchange_sweeps_;
-  const std::uint64_t tag = ++op_tick_;
-  const unsigned active = 1U << active_log2();
-  const std::size_t m = 1ULL << local_bits();
-  // Each rank exchanges on behalf of its resident participating slices:
-  // it posts their slabs toward the partner slice's owner and takes the
-  // partner slabs the owners posted back. A slice and its XOR partner
-  // always participate together (the target bit cannot be a control), so
-  // every take below has a matching post on some rank.
-  const std::vector<unsigned> parts =
-      resident_parts(controlled_shards(shard_ctrl));
-  mark_partial_write();
-  kernels::IndexExpander ex;
-  ex.add_mask(local_mask);
-  ex.base = local_mask;
-  const std::size_t cnt = m >> std::popcount(local_mask);
-
-  // Phase A: every participating shard posts the (control-satisfying) slab
-  // its partner needs. Eager sends, so no ordering constraints.
-  for_shards(parts, [&](unsigned w) {
-    ShardMessage msg;
-    msg.source = w;
-    msg.tag = tag;
-    msg.amplitudes.resize(cnt);
-    const Complex* s = slices_[w].data();
-    for (std::size_t k = 0; k < cnt; ++k) msg.amplitudes[k] = s[ex(k)];
-    exchange_->post(w ^ target_bit, active, std::move(msg));
-  });
-
-  // Phase B: take the partner slab and combine into the local half. The
-  // arithmetic per pair is exactly the serial pair kernel's, so amplitudes
-  // stay bit-identical.
-  const kernels::GateKind kind = kernels::classify(gate);
-  const Complex one(1.0, 0.0);
-  const Complex g00 = gate.m[0], g01 = gate.m[1];
-  const Complex g10 = gate.m[2], g11 = gate.m[3];
-  // With no local controls the slab is the whole contiguous slice, so the
-  // combine runs through the vector primitives (IEEE addition commutes, so
-  // f_dst*dst + f_src*src matches the scalar sum bit for bit).
-  const simd::Ops& vo = simd::ops();
-  const bool vcontig = local_mask == 0 &&
-                       vo.isa != simd::Isa::kScalar &&
-                       cnt >= simd::kMinRun;
-  for_shards(parts, [&](unsigned w) {
-    ShardMessage msg = exchange_->take(w, w ^ target_bit, tag);
-    const Complex* theirs = msg.amplitudes.data();
-    Complex* mine = slices_[w].data();
-    const bool hi = (w & target_bit) != 0;
-    if (kind == kernels::GateKind::kAntiDiagonal) {
-      if (g01 == one && g10 == one) {
-        // X / CNOT / Toffoli: a pure permutation — adopt the partner slab.
-        if (vcontig) {
-          std::copy_n(theirs, cnt, mine);
-        } else {
-          for (std::size_t k = 0; k < cnt; ++k) mine[ex(k)] = theirs[k];
-        }
-      } else if (vcontig) {
-        vo.scale_copy(mine, theirs, cnt, hi ? g10 : g01);
-      } else {
-        const Complex f = hi ? g10 : g01;
-        for (std::size_t k = 0; k < cnt; ++k) mine[ex(k)] = f * theirs[k];
-      }
-      return;
-    }
-    if (vcontig) {
-      vo.combine(mine, theirs, cnt, /*f_dst=*/hi ? g11 : g00,
-                 /*f_src=*/hi ? g10 : g01);
-    } else if (hi) {
-      for (std::size_t k = 0; k < cnt; ++k) {
-        const std::size_t i = ex(k);
-        mine[i] = g10 * theirs[k] + g11 * mine[i];
-      }
-    } else {
-      for (std::size_t k = 0; k < cnt; ++k) {
-        const std::size_t i = ex(k);
-        mine[i] = g00 * mine[i] + g01 * theirs[k];
-      }
-    }
   });
 }
 

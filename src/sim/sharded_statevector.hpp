@@ -25,19 +25,18 @@ inline constexpr unsigned kMaxShards = 256;
 ///
 /// Gates on *local* qubits (physical position < n-g) touch only intra-slice
 /// pairs and run embarrassingly parallel, one shard per worker lane, using
-/// the same specialized kernels as the serial backend. Gates on *global*
-/// qubits pair each shard w with w XOR target-bit: both shards post the
-/// needed slab to the partner through the ShardMesh (the in-process stand-in
-/// for the MPI exchange), then combine locally. Diagonal gates on global
-/// qubits need no exchange at all — the shard index determines the factor.
-///
-/// To keep hot qubits local, a gate on a global qubit can first run a
-/// qubit-relabeling swap pass (enabled by default): the global bit is
-/// swapped with the least-recently-used local bit via one pairwise
-/// permutation exchange, after which the gate — and subsequent gates on the
-/// same qubit — apply locally. The logical position of a qubit (what
-/// Backend and all observers see) never changes; the relabeling is purely a
-/// physical-layout concern tracked by an internal permutation.
+/// the same specialized kernels as the serial backend. A non-diagonal gate
+/// on a *global* qubit first runs a qubit-relabeling swap: the global bit
+/// trades places with the least-recently-used local bit via one pairwise
+/// permutation exchange through the ShardMesh (the in-process stand-in for
+/// the MPI exchange), after which the gate — and subsequent gates on the
+/// same qubit — apply locally. Diagonal gates on global qubits need no
+/// exchange at all — the shard index determines the factor. Only a block
+/// with more qubits than there are local bits (every gate while n <= g, a
+/// fused cluster wider than the slices) gathers across slices instead. The
+/// logical position of a qubit (what Backend and all observers see) never
+/// changes; the relabeling is purely a physical-layout concern tracked by
+/// an internal permutation.
 ///
 /// Every observable result is bit-identical to the serial StateVector:
 /// elementwise sweeps perform the same arithmetic per logical basis state,
@@ -63,10 +62,10 @@ class ShardedStateVector : public Backend {
   /// resident here and slabs move through the internal ShardMesh. A
   /// non-null provider distributes the slices: this instance sweeps only
   /// the contiguous slice block slice_block(world, rank, active) assigns
-  /// it, global gates and relabel swaps route slabs through the provider,
-  /// and reductions exchange per-chunk partials through it. Operations
-  /// that read the whole state (snapshots, amplitudes, expectations, Pauli
-  /// rotations with flips, cross-slice clusters), reductions too small to
+  /// it, relabel swaps route slabs through the provider, and reductions
+  /// exchange per-chunk partials through it. Operations that read the
+  /// whole state (snapshots, amplitudes, expectations, Pauli rotations
+  /// with flips, blocks wider than the slices), reductions too small to
   /// split into chunks, and reshapes that change the active slice count
   /// first materialize every active slice via the provider's publish/take
   /// surface. The provider must outlive this backend. Every rank must
@@ -82,21 +81,14 @@ class ShardedStateVector : public Backend {
   unsigned world() const { return world_; }
   unsigned rank() const { return rank_; }
 
-  /// Enables/disables the relabeling swap pass for non-diagonal gates on
-  /// global qubits (default: enabled). When disabled such gates always go
-  /// through the pairwise exchange path — useful for benchmarking the raw
-  /// exchange cost and for forcing exchange traffic in tests.
-  void set_relabel_policy(bool on) { relabel_policy_ = on; }
-  bool relabel_policy() const { return relabel_policy_; }
-
-  /// White-box counters for tests and benchmarks. `cluster_sweeps` counts
-  /// fused multi-op cluster applications; with the relabel policy on, a
+  /// White-box counters for tests and benchmarks. `relabel_swaps` counts
+  /// global<->local bit swaps, the only pairwise slab traffic.
+  /// `cluster_sweeps` counts fused multi-op cluster applications; a
   /// cluster whose qubits fit the local budget is pulled local first and
-  /// then sweeps with zero ShardMesh exchanges. `materializations` counts
-  /// full-replica gathers (materialize calls that moved slices; always 0
-  /// in-process). Once all shards are active only whole-state inspection,
-  /// single-chunk reductions and cross-slice clusters gather.
-  std::uint64_t exchange_sweeps() const { return exchange_sweeps_; }
+  /// then sweeps slice by slice. `materializations` counts full-replica
+  /// gathers (materialize calls that moved slices; always 0 in-process).
+  /// Once all shards are active only whole-state inspection, single-chunk
+  /// reductions and cross-slice clusters gather.
   std::uint64_t relabel_swaps() const { return relabel_swaps_; }
   std::uint64_t cluster_sweeps() const { return cluster_sweeps_; }
   std::uint64_t materializations() const { return materializations_; }
@@ -165,12 +157,7 @@ class ShardedStateVector : public Backend {
   template <typename Fn>
   void for_each_amp(Fn&& fn) const;
 
-  void apply_local(const Gate1Q& gate, std::size_t pt, unsigned shard_ctrl,
-                   std::uint64_t local_mask) const;
   void apply_global_diagonal(const Gate1Q& gate, unsigned target_bit,
-                             unsigned shard_ctrl,
-                             std::uint64_t local_mask) const;
-  void apply_global_exchange(const Gate1Q& gate, unsigned target_bit,
                              unsigned shard_ctrl,
                              std::uint64_t local_mask) const;
 
@@ -195,11 +182,12 @@ class ShardedStateVector : public Backend {
   template <typename Keep>
   double sum_norms(std::size_t count, std::size_t pos, Keep keep) const;
 
-  /// Plans and runs one k-qubit block sweep: with the relabel policy on,
-  /// global block bits are first swapped local (LRU victims outside the
-  /// block); an all-local block then sweeps per slice with zero exchanges,
-  /// and anything that cannot be localized falls back to a cross-slice
-  /// gather that is still bit-identical to the serial enumeration.
+  /// Plans and runs one k-qubit block sweep — every non-diagonal sweep
+  /// goes through here: when the block fits the local bits, its global
+  /// bits are first swapped local (LRU victims outside the block) and the
+  /// block then sweeps per slice with no further exchange; a bigger block
+  /// falls back to a cross-slice gather that is still bit-identical to the
+  /// serial enumeration.
   /// `lmask` is the logical control mask. The all-local hot path calls
   /// `local_fn(amp, m, pt, local_mask, pfor)` once per participating slice
   /// so backends can hand it the same streaming SIMD sweeps the serial
@@ -233,11 +221,9 @@ class ShardedStateVector : public Backend {
   mutable bool replicated_fresh_ = true;
   mutable std::uint64_t op_tick_ = 0;  ///< message tags + LRU clock
   mutable std::vector<std::uint64_t> local_last_use_;  ///< per local bit
-  mutable std::uint64_t exchange_sweeps_ = 0;
   mutable std::uint64_t relabel_swaps_ = 0;
   mutable std::uint64_t cluster_sweeps_ = 0;
   mutable std::uint64_t materializations_ = 0;
-  bool relabel_policy_ = true;
 };
 
 }  // namespace qmpi::sim

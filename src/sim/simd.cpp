@@ -61,15 +61,6 @@ __attribute__((noinline)) void axpy_scalar(Complex* acc, const Complex* x,
   for (std::size_t i = 0; i < n; ++i) acc[i] += cmul(x[i], f);
 }
 
-__attribute__((noinline)) void combine_scalar(Complex* dst,
-                                              const Complex* src,
-                                              std::size_t n, Complex f_dst,
-                                              Complex f_src) {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = cmul(dst[i], f_dst) + cmul(src[i], f_src);
-  }
-}
-
 __attribute__((noinline)) void pair_dense_scalar(Complex* a, Complex* b,
                                                  std::size_t n, Complex m00,
                                                  Complex m01, Complex m10,
@@ -100,8 +91,8 @@ __attribute__((noinline)) void swap_halves_scalar(Complex* a, Complex* b,
 
 constexpr Ops kScalarOps = {
     Isa::kScalar,       scale_scalar,        scale_copy_scalar,
-    axpy_scalar,        combine_scalar,      pair_dense_scalar,
-    pair_antidiag_scalar, swap_halves_scalar,
+    axpy_scalar,        pair_dense_scalar,   pair_antidiag_scalar,
+    swap_halves_scalar,
 };
 
 #if QMPI_SIMD_X86
@@ -164,25 +155,6 @@ __attribute__((target("avx2"))) void axpy_avx2(Complex* acc, const Complex* x,
   if (i < n) axpy_scalar(acc + i, x + i, n - i, f);
 }
 
-__attribute__((target("avx2"))) void combine_avx2(Complex* dst,
-                                                  const Complex* src,
-                                                  std::size_t n, Complex f_dst,
-                                                  Complex f_src) {
-  double* o = reinterpret_cast<double*>(dst);
-  const double* s = reinterpret_cast<const double*>(src);
-  const __m256d dr = _mm256_set1_pd(f_dst.real());
-  const __m256d di = _mm256_set1_pd(f_dst.imag());
-  const __m256d sr = _mm256_set1_pd(f_src.real());
-  const __m256d si = _mm256_set1_pd(f_src.imag());
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d t = cmul2(_mm256_loadu_pd(o + 2 * i), dr, di);
-    const __m256d u = cmul2(_mm256_loadu_pd(s + 2 * i), sr, si);
-    _mm256_storeu_pd(o + 2 * i, _mm256_add_pd(t, u));
-  }
-  if (i < n) combine_scalar(dst + i, src + i, n - i, f_dst, f_src);
-}
-
 __attribute__((target("avx2"))) void pair_dense_avx2(Complex* a, Complex* b,
                                                      std::size_t n,
                                                      Complex m00, Complex m01,
@@ -240,8 +212,8 @@ __attribute__((target("avx2"))) void swap_halves_avx2(Complex* a, Complex* b,
 
 constexpr Ops kAvx2Ops = {
     Isa::kAvx2,         scale_avx2,        scale_copy_avx2,
-    axpy_avx2,          combine_avx2,      pair_dense_avx2,
-    pair_antidiag_avx2, swap_halves_avx2,
+    axpy_avx2,          pair_dense_avx2,   pair_antidiag_avx2,
+    swap_halves_avx2,
 };
 
 // ------------------------------------------------------------ AVX-512 ---
@@ -312,26 +284,6 @@ __attribute__((QMPI_AVX512_TARGET)) void axpy_avx512(Complex* acc,
   if (i < n) axpy_scalar(acc + i, x + i, n - i, f);
 }
 
-__attribute__((QMPI_AVX512_TARGET)) void combine_avx512(Complex* dst,
-                                                        const Complex* src,
-                                                        std::size_t n,
-                                                        Complex f_dst,
-                                                        Complex f_src) {
-  double* o = reinterpret_cast<double*>(dst);
-  const double* s = reinterpret_cast<const double*>(src);
-  const __m512d dr = _mm512_set1_pd(f_dst.real());
-  const __m512d di = fi_alt_of(f_dst.imag());
-  const __m512d sr = _mm512_set1_pd(f_src.real());
-  const __m512d si = fi_alt_of(f_src.imag());
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m512d t = cmul4(_mm512_loadu_pd(o + 2 * i), dr, di);
-    const __m512d u = cmul4(_mm512_loadu_pd(s + 2 * i), sr, si);
-    _mm512_storeu_pd(o + 2 * i, _mm512_add_pd(t, u));
-  }
-  if (i < n) combine_scalar(dst + i, src + i, n - i, f_dst, f_src);
-}
-
 __attribute__((QMPI_AVX512_TARGET)) void pair_dense_avx512(
     Complex* a, Complex* b, std::size_t n, Complex m00, Complex m01,
     Complex m10, Complex m11) {
@@ -389,8 +341,8 @@ __attribute__((QMPI_AVX512_TARGET)) void swap_halves_avx512(Complex* a,
 
 constexpr Ops kAvx512Ops = {
     Isa::kAvx512,         scale_avx512,        scale_copy_avx512,
-    axpy_avx512,          combine_avx512,      pair_dense_avx512,
-    pair_antidiag_avx512, swap_halves_avx512,
+    axpy_avx512,          pair_dense_avx512,   pair_antidiag_avx512,
+    swap_halves_avx512,
 };
 
 #endif  // QMPI_SIMD_X86

@@ -96,9 +96,6 @@ struct Ops {
                      Complex f);
   /// acc[i] += f * x[i]
   void (*axpy)(Complex* acc, const Complex* x, std::size_t n, Complex f);
-  /// dst[i] = f_dst * dst[i] + f_src * src[i] (shard-exchange combine)
-  void (*combine)(Complex* dst, const Complex* src, std::size_t n,
-                  Complex f_dst, Complex f_src);
   /// {a[i], b[i]} = {m00*a[i] + m01*b[i], m10*a[i] + m11*b[i]}
   void (*pair_dense)(Complex* a, Complex* b, std::size_t n, Complex m00,
                      Complex m01, Complex m10, Complex m11);

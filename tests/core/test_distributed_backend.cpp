@@ -614,6 +614,72 @@ TEST(DistributedBackend, SingleChunkReductionGathersOnce) {
   }
 }
 
+TEST(DistributedBackend, OversizedBlocksGatherAndMatchSerial) {
+  // The two routes that still gather across slices: a non-diagonal gate
+  // while every bit is global (no local bit to swap its target into),
+  // with and without controls, and a 4-qubit cluster on a register whose
+  // slices hold only three local bits.
+  const auto program = [](sim::Backend& sv, std::size_t gbits,
+                          std::uint64_t* cluster_swaps,
+                          std::uint64_t* cluster_gathers) {
+    auto* sharded = dynamic_cast<sim::ShardedStateVector*>(&sv);
+    auto q = sv.allocate(gbits);
+    sv.set_fusion_enabled(false);  // every gate down the 1Q route
+    for (std::size_t i = 0; i < gbits; ++i) {
+      sv.ry(q[i], 0.4 + 0.3 * static_cast<double>(i));
+      sv.rx(q[i], -0.2 - 0.1 * static_cast<double>(i));
+    }
+    sv.h(q[0]);
+    sv.y(q[gbits - 1]);
+    sv.cnot(q[0], q[gbits - 1]);
+    const sim::QubitId ctrl[] = {q[gbits - 1]};
+    sv.apply_controlled(sim::gate_rx(0.77), ctrl, q[0]);
+    sv.set_fusion_enabled(true);
+    const auto more = sv.allocate(3);
+    q.insert(q.end(), more.begin(), more.end());
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      sv.rz(q[i], 0.2 + 0.1 * static_cast<double>(i));
+    }
+    sv.flush_gates();
+    const std::uint64_t swaps0 = sharded ? sharded->relabel_swaps() : 0;
+    const std::uint64_t gathers0 = sharded ? sharded->materializations() : 0;
+    sv.h(q[0]);
+    sv.cnot(q[0], q[1]);
+    sv.ry(q[1], 0.61);
+    sv.cnot(q[1], q[2]);
+    sv.toffoli(q[0], q[2], q[3]);
+    sv.y(q[3]);
+    sv.cnot(q[3], q[0]);
+    sv.flush_gates();
+    if (sharded) {
+      *cluster_swaps = sharded->relabel_swaps() - swaps0;
+      *cluster_gathers = sharded->materializations() - gathers0;
+    }
+    return sv.snapshot();
+  };
+  for (const unsigned shards : {4U, 8U}) {
+    const auto gbits = static_cast<std::size_t>(std::countr_zero(shards));
+    sim::StateVector serial(kSeed);
+    const auto want = program(serial, gbits, nullptr, nullptr);
+    for (const unsigned world : {2U, 4U}) {
+      std::vector<std::vector<sim::Complex>> got(world);
+      std::vector<std::uint64_t> swaps(world), gathers(world);
+      run_replicas(world, shards,
+                   [&](sim::ShardedStateVector& sv, unsigned r) {
+                     got[r] = program(sv, gbits, &swaps[r], &gathers[r]);
+                   });
+      for (unsigned r = 0; r < world; ++r) {
+        const std::string where = "shards " + std::to_string(shards) +
+                                  ", world " + std::to_string(world) +
+                                  ", rank " + std::to_string(r);
+        EXPECT_EQ(swaps[r], 0u) << where;
+        EXPECT_EQ(gathers[r], 1u) << where;
+        EXPECT_EQ(got[r], want) << where;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- parity ------
 
 TEST(DistributedBackend, MeasurementOrderingMatchesSerialAcrossWorldSizes) {

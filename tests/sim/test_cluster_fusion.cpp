@@ -9,17 +9,19 @@
 //     commuting clusters and the composition of same-target runs can
 //     introduce last-bit rounding differences).
 //  2. Fused execution on the ShardedStateVector is bit-identical to fused
-//     execution on the serial StateVector at 1/2/4/8 shards, with the
-//     relabel policy on or off — the shard/serial contract of PR 2 extends
-//     to clusters.
+//     execution on the serial StateVector at 1/2/4/8 shards — the
+//     shard/serial contract of PR 2 extends to clusters.
 //  3. A fused cluster whose qubits fit the local budget is pulled local by
-//     the LRU relabel pass and then sweeps with zero ShardMesh exchanges.
+//     the LRU relabel pass and then sweeps slice by slice; a wider one
+//     gathers its blocks across slices.
 //  4. Deallocation with a pending cluster on the qubit flushes before the
 //     collapse/removal path runs, identically on both backends.
 //  5. FusionQueue::take() + the flush loop make a reentrant push
 //     flush-correct (the old drain() deferred it past the boundary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <random>
@@ -138,20 +140,17 @@ TEST(ClusterFusion, FusedMatchesUnfusedOnRandomCircuits) {
 
 TEST(ClusterFusion, FusedShardedBitIdenticalToFusedSerial) {
   for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-    for (const bool relabel : {true, false}) {
-      for (std::uint64_t seed = 0; seed < 3; ++seed) {
-        const std::size_t nq = 6 + 3 * (seed % 3);  // 6, 9, 12
-        const auto prog = random_program(seed * 977 + shards, nq, 120);
-        sim::StateVector serial(42);
-        sim::ShardedStateVector sharded(shards, 42);
-        sharded.set_relabel_policy(relabel);
-        const auto qs = serial.allocate(nq);
-        const auto qt = sharded.allocate(nq);
-        run_program(serial, qs, prog);
-        run_program(sharded, qt, prog);
-        expect_exact(serial.snapshot(), sharded.snapshot());
-        ASSERT_EQ(serial.norm(), sharded.norm());
-      }
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const std::size_t nq = 6 + 3 * (seed % 3);  // 6, 9, 12
+      const auto prog = random_program(seed * 977 + shards, nq, 120);
+      sim::StateVector serial(42);
+      sim::ShardedStateVector sharded(shards, 42);
+      const auto qs = serial.allocate(nq);
+      const auto qt = sharded.allocate(nq);
+      run_program(serial, qs, prog);
+      run_program(sharded, qt, prog);
+      expect_exact(serial.snapshot(), sharded.snapshot());
+      ASSERT_EQ(serial.norm(), sharded.norm());
     }
   }
 }
@@ -275,38 +274,88 @@ TEST(ClusterFusion, OversizedControlledGateAppliesEagerly) {
 TEST(ClusterFusion, LocalizedClusterNeedsZeroExchanges) {
   // 10 qubits, 4 shards -> 8 local bits. A cluster on the two *global*
   // qubits fits the local budget, so the planner relabels it local (LRU
-  // victims) and the sweep itself never touches the ShardMesh. Qubits
-  // allocated once all four slices are active take new local bits, so
-  // q[0] and q[1] are the global ones; prepare with the policy off so the
-  // layout stays as allocated until the cluster flushes.
+  // victims) and the sweep itself moves no amplitude between slices.
+  // Qubits allocated once all four slices are active take new local bits,
+  // so q[0] and q[1] are the global ones; they get diagonal gates only
+  // before the cluster, so the layout stays as allocated until it flushes.
   constexpr std::size_t kN = 10;
-  sim::ShardedStateVector sharded(4, 21);
-  sharded.set_relabel_policy(false);
-  const auto q = sharded.allocate(kN);
-  for (std::size_t i = 0; i < kN; ++i) sharded.ry(q[i], 0.1 + 0.05 * i);
-  sharded.flush_gates();
-  sharded.set_relabel_policy(true);
-  const std::uint64_t exchanges_before = sharded.exchange_sweeps();
-  ASSERT_EQ(sharded.relabel_swaps(), 0u);
+  const auto prepare = [](sim::Backend& sv,
+                          const std::vector<sim::QubitId>& q) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (i < 2) {
+        sv.rz(q[i], 0.1 + 0.05 * i);
+      } else {
+        sv.ry(q[i], 0.1 + 0.05 * i);
+      }
+    }
+    sv.flush_gates();
+  };
   // Both qubits global at 4 shards; three ops so the cluster path runs.
-  sharded.h(q[0]);
-  sharded.cnot(q[0], q[1]);
-  sharded.h(q[1]);
-  sharded.flush_gates();
-  EXPECT_GE(sharded.cluster_sweeps(), 1u);
-  EXPECT_EQ(sharded.exchange_sweeps(), exchanges_before);
+  const auto cluster = [](sim::Backend& sv,
+                          const std::vector<sim::QubitId>& q) {
+    sv.h(q[0]);
+    sv.cnot(q[0], q[1]);
+    sv.h(q[1]);
+    sv.flush_gates();
+  };
+  sim::ShardedStateVector sharded(4, 21);
+  const auto q = sharded.allocate(kN);
+  prepare(sharded, q);
+  ASSERT_EQ(sharded.relabel_swaps(), 0u);
+  const std::uint64_t clusters_before = sharded.cluster_sweeps();
+  cluster(sharded, q);
+  EXPECT_EQ(sharded.cluster_sweeps(), clusters_before + 1);
+  EXPECT_EQ(sharded.relabel_swaps(), 2u);
+  // The follow-up cluster on the same, now local, qubits swaps nothing.
+  cluster(sharded, q);
+  EXPECT_EQ(sharded.cluster_sweeps(), clusters_before + 2);
   EXPECT_EQ(sharded.relabel_swaps(), 2u);
 
   // Identical arithmetic to serial, as for every other path. Flush at the
-  // same point so both backends make the same clustering decisions.
+  // same points so both backends make the same clustering decisions.
   sim::StateVector serial(21);
   const auto p = serial.allocate(kN);
-  for (std::size_t i = 0; i < kN; ++i) serial.ry(p[i], 0.1 + 0.05 * i);
-  serial.flush_gates();
-  serial.h(p[0]);
-  serial.cnot(p[0], p[1]);
-  serial.h(p[1]);
+  prepare(serial, p);
+  cluster(serial, p);
+  cluster(serial, p);
   expect_exact(serial.snapshot(), sharded.snapshot());
+}
+
+TEST(ClusterFusion, ClusterWiderThanTheSlicesGathers) {
+  // With log2(shards) + 2 or + 3 qubits (at least four) a slice holds
+  // fewer than four local bits, so a 4-qubit cluster cannot be swapped local: it gathers
+  // its blocks across slices, without a relabel swap.
+  const auto program = [](sim::Backend& sv,
+                          const std::vector<sim::QubitId>& q) {
+    for (std::size_t i = 0; i < q.size(); ++i) sv.rz(q[i], 0.2 + 0.1 * i);
+    sv.flush_gates();
+    sv.h(q[0]);
+    sv.cnot(q[0], q[1]);
+    sv.ry(q[1], 0.61);
+    sv.cnot(q[1], q[2]);
+    sv.rx(q[2], -0.35);
+    sv.toffoli(q[0], q[2], q[3]);
+    sv.y(q[3]);
+    sv.cnot(q[3], q[0]);
+    sv.flush_gates();
+  };
+  for (const unsigned shards : {2u, 4u, 8u}) {
+    const auto gbits = static_cast<std::size_t>(std::countr_zero(shards));
+    for (std::size_t nq = std::max<std::size_t>(4, gbits + 2);
+         nq <= gbits + 3; ++nq) {
+      sim::StateVector serial(8);
+      sim::ShardedStateVector sharded(shards, 8);
+      const auto qs = serial.allocate(nq);
+      const auto qt = sharded.allocate(nq);
+      program(serial, qs);
+      program(sharded, qt);
+      EXPECT_EQ(sharded.cluster_sweeps(), 1u)
+          << "shards=" << shards << " nq=" << nq;
+      EXPECT_EQ(sharded.relabel_swaps(), 0u)
+          << "shards=" << shards << " nq=" << nq;
+      expect_exact(serial.snapshot(), sharded.snapshot());
+    }
+  }
 }
 
 TEST(ClusterFusion, DeallocWithPendingClusterFlushesOnBothBackends) {

@@ -3,8 +3,9 @@
 //
 // The ShardedStateVector performs the same arithmetic per logical basis
 // state as the serial StateVector — local gates run the same kernels per
-// slice, global gates combine exchanged slabs with the same pair formulas,
-// and reductions enumerate logical indices with the shared chunked
+// slice, a gate on a global qubit first swaps it local (pure data
+// movement), a block wider than the slices gathers with the same per-block
+// arithmetic, and reductions enumerate logical indices with the shared chunked
 // combine. So for ANY shard count the amplitudes must match the serial
 // backend with operator== on the raw doubles — no tolerance — and, the
 // RNG draws being shared via Backend, every measurement outcome must match
@@ -68,16 +69,27 @@ void prepare(sim::Backend& sv, const std::vector<sim::QubitId>& q) {
   sv.flush_gates();
 }
 
+/// Like prepare, but entangles and rotates only q[0..local) and applies
+/// diagonal gates to the rest. No relabel swap runs, so on a sharded
+/// register the layout stays as allocated and q[local..] stay global.
+void prepare_local(sim::Backend& sv, const std::vector<sim::QubitId>& q,
+                   std::size_t local) {
+  for (std::size_t i = 0; i < local; ++i) {
+    sv.ry(q[i], 0.3 + 0.11 * static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i + 1 < local; ++i) sv.cnot(q[i], q[i + 1]);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    sv.rz(q[i], -0.7 + 0.05 * static_cast<double>(i));
+  }
+  sv.flush_gates();
+}
+
 /// Runs `program` on a serial StateVector and a `shards`-slice
 /// ShardedStateVector (same seed) and asserts bit-identical amplitudes.
 template <typename Program>
-void check_identity(Program&& program, unsigned shards,
-                    bool relabel_policy = true, unsigned threads = 1) {
+void check_identity(Program&& program, unsigned shards) {
   sim::StateVector serial(1234);
   sim::ShardedStateVector sharded(shards, 1234);
-  sharded.set_relabel_policy(relabel_policy);
-  sharded.set_num_threads(threads);
-  serial.set_num_threads(threads);
   const auto qs = allocate_in_physical_order(serial, kQubits, shards);
   const auto qt = allocate_in_physical_order(sharded, kQubits, shards);
   prepare(serial, qs);
@@ -116,7 +128,7 @@ TEST(ShardedIdentity, GlobalDiagonalGatesNeedNoExchange) {
     const auto qt = allocate_in_physical_order(sharded, kQubits, s);
     prepare(serial, qs);
     prepare(sharded, qt);
-    const std::uint64_t exchanges_before = sharded.exchange_sweeps();
+    const std::uint64_t clusters_before = sharded.cluster_sweeps();
     const std::uint64_t relabels_before = sharded.relabel_swaps();
     auto program = [](sim::Backend& sv,
                       const std::vector<sim::QubitId>& q) {
@@ -128,7 +140,7 @@ TEST(ShardedIdentity, GlobalDiagonalGatesNeedNoExchange) {
     program(serial, qs);
     program(sharded, qt);
     // Diagonal gates never pay communication, no matter the target.
-    EXPECT_EQ(sharded.exchange_sweeps(), exchanges_before);
+    EXPECT_EQ(sharded.cluster_sweeps(), clusters_before);
     EXPECT_EQ(sharded.relabel_swaps(), relabels_before);
     expect_bit_identical(serial, sharded);
   }
@@ -136,19 +148,17 @@ TEST(ShardedIdentity, GlobalDiagonalGatesNeedNoExchange) {
 
 TEST(ShardedIdentity, ControlledGatesAcrossTheSplit) {
   for (const unsigned s : kShardCounts) {
-    for (const bool relabel : {false, true}) {
-      check_identity(
-          [](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
-            sv.cnot(q[0], q[kQubits - 1]);  // local ctrl, global target
-            sv.cnot(q[kQubits - 1], q[1]);  // global ctrl, local target
-            sv.cz(q[kQubits - 2], q[2]);
-            sv.toffoli(q[kQubits - 1], q[3], q[kQubits - 2]);
-            const sim::QubitId controls[] = {q[1], q[kQubits - 2], q[4]};
-            sv.apply_controlled(sim::gate_ry(0.456), controls, q[5]);
-            sv.swap(q[0], q[kQubits - 1]);
-          },
-          s, relabel);
-    }
+    check_identity(
+        [](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
+          sv.cnot(q[0], q[kQubits - 1]);  // local ctrl, global target
+          sv.cnot(q[kQubits - 1], q[1]);  // global ctrl, local target
+          sv.cz(q[kQubits - 2], q[2]);
+          sv.toffoli(q[kQubits - 1], q[3], q[kQubits - 2]);
+          const sim::QubitId controls[] = {q[1], q[kQubits - 2], q[4]};
+          sv.apply_controlled(sim::gate_ry(0.456), controls, q[5]);
+          sv.swap(q[0], q[kQubits - 1]);
+        },
+        s);
   }
 }
 
@@ -266,41 +276,85 @@ TEST(ShardedIdentity, ScalarObservablesExactlyEqual) {
 }
 
 TEST(ShardedIdentity, RelabelPolicyKeepsHotQubitsLocal) {
+  sim::StateVector serial(1);
   sim::ShardedStateVector sharded(4, 1);
-  // Prepare with the policy off so the layout stays as allocated
-  // (exchanges move amplitudes, never labels) and q[kQubits-1] is
-  // physically global.
-  sharded.set_relabel_policy(false);
+  const auto qs = allocate_in_physical_order(serial, kQubits, 4);
   const auto q = allocate_in_physical_order(sharded, kQubits, 4);
-  prepare(sharded, q);
-  sharded.set_relabel_policy(true);
-  const std::uint64_t exchanges_before = sharded.exchange_sweeps();
+  // Diagonal and local gates only, so q[kQubits-1] is still physically
+  // global when the program below starts.
+  prepare_local(serial, qs, kQubits - 2);
+  prepare_local(sharded, q, kQubits - 2);
   ASSERT_EQ(sharded.relabel_swaps(), 0u);
+  const std::uint64_t clusters_before = sharded.cluster_sweeps();
+  auto program = [](sim::Backend& sv, const std::vector<sim::QubitId>& p,
+                    int step) {
+    if (step < 0) {
+      sv.h(p[kQubits - 1]);
+    } else {
+      sv.ry(p[kQubits - 1], 0.1 * step);
+    }
+    sv.flush_gates();
+  };
   // First general gate on a global qubit pays one relabeling pass...
-  sharded.h(q[kQubits - 1]);
-  sharded.flush_gates();
+  program(serial, qs, -1);
+  program(sharded, q, -1);
   EXPECT_EQ(sharded.relabel_swaps(), 1u);
-  EXPECT_EQ(sharded.exchange_sweeps(), exchanges_before);
+  EXPECT_EQ(sharded.cluster_sweeps(), clusters_before);
   // ...and every follow-up on the now-local qubit is free of communication.
   for (int i = 0; i < 5; ++i) {
-    sharded.ry(q[kQubits - 1], 0.1 * i);
-    sharded.flush_gates();
+    program(serial, qs, i);
+    program(sharded, q, i);
   }
   EXPECT_EQ(sharded.relabel_swaps(), 1u);
-  EXPECT_EQ(sharded.exchange_sweeps(), exchanges_before);
+  EXPECT_EQ(sharded.cluster_sweeps(), clusters_before);
+  expect_bit_identical(serial, sharded);
+}
 
-  // With the policy off, the same traffic pays one exchange per sweep.
-  sim::ShardedStateVector direct(4, 1);
-  direct.set_relabel_policy(false);
-  const auto p = allocate_in_physical_order(direct, kQubits, 4);
-  prepare(direct, p);  // the entangling chain itself pays exchanges here
-  const std::uint64_t direct_before = direct.exchange_sweeps();
-  direct.h(p[kQubits - 1]);
-  direct.flush_gates();
-  direct.h(p[kQubits - 1]);
-  direct.flush_gates();
-  EXPECT_EQ(direct.relabel_swaps(), 0u);
-  EXPECT_EQ(direct.exchange_sweeps(), direct_before + 2);
+TEST(ShardedIdentity, GatesWhileEveryBitIsGlobalGather) {
+  // With n <= log2(shards) there is no local bit to swap a target into:
+  // every non-diagonal gate, controlled or not, gathers its pairs across
+  // slices. With fusion off each gate goes down the 1Q route.
+  for (const unsigned s : {2U, 4U, 8U}) {
+    const auto n = static_cast<std::size_t>(std::countr_zero(s));
+    auto program = [n](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
+      for (std::size_t i = 0; i < n; ++i) {
+        sv.ry(q[i], 0.4 + 0.3 * static_cast<double>(i));
+        sv.rx(q[i], -0.2 - 0.1 * static_cast<double>(i));
+      }
+      sv.h(q[0]);
+      sv.y(q[n - 1]);
+      sv.x(q[0]);
+      if (n >= 2) {
+        sv.cnot(q[0], q[n - 1]);
+        const sim::QubitId controls[] = {q[n - 1]};
+        sv.apply_controlled(sim::gate_rx(0.77), controls, q[0]);
+      }
+      if (n >= 3) {
+        const sim::QubitId controls[] = {q[2], q[0]};
+        sv.apply_controlled(sim::gate_ry(-1.3), controls, q[1]);
+      }
+    };
+    sim::StateVector serial(5);
+    sim::ShardedStateVector sharded(s, 5);
+    serial.set_fusion_enabled(false);
+    sharded.set_fusion_enabled(false);
+    auto qs = serial.allocate(n);
+    auto qt = sharded.allocate(n);
+    program(serial, qs);
+    program(sharded, qt);
+    EXPECT_EQ(sharded.relabel_swaps(), 0u) << "shards=" << s;
+    EXPECT_EQ(sharded.cluster_sweeps(), 0u) << "shards=" << s;
+    expect_bit_identical(serial, sharded);
+    // Once local bits exist, the same gates swap their targets local.
+    const auto ns = serial.allocate(2);
+    const auto nt = sharded.allocate(2);
+    qs.insert(qs.end(), ns.begin(), ns.end());
+    qt.insert(qt.end(), nt.begin(), nt.end());
+    program(serial, qs);
+    program(sharded, qt);
+    EXPECT_GT(sharded.relabel_swaps(), 0u) << "shards=" << s;
+    expect_bit_identical(serial, sharded);
+  }
 }
 
 TEST(ShardedIdentity, RandomCircuitsWithMeasurement) {
@@ -355,32 +409,29 @@ TEST(ShardedIdentity, RandomCircuitsWithMeasurement) {
 }
 
 TEST(ShardedIdentity, ThreadedShardsStayBitIdentical) {
-  // Large enough that sweeps cross kMinParallel and the exchange phases
+  // Large enough that sweeps cross kMinParallel and the relabel-swap phases
   // really run on pool workers — the configuration TSan wants to see.
   constexpr std::size_t kBig = 17;
   for (const unsigned s : {2U, 4U}) {
     for (const unsigned t : {2U, 4U}) {
-      for (const bool relabel : {false, true}) {
-        sim::StateVector serial(31);
-        sim::ShardedStateVector sharded(s, 31);
-        sharded.set_relabel_policy(relabel);
-        sharded.set_num_threads(t);
-        const auto qs = allocate_in_physical_order(serial, kBig, s);
-        const auto qt = allocate_in_physical_order(sharded, kBig, s);
-        prepare(serial, qs);
-        prepare(sharded, qt);
-        auto program = [](sim::Backend& sv,
-                          const std::vector<sim::QubitId>& q) {
-          sv.h(q[kBig - 1]);
-          sv.cnot(q[0], q[kBig - 1]);
-          sv.cnot(q[kBig - 1], q[3]);
-          sv.ry(q[kBig - 2], 0.77);
-          (void)sv.measure(q[kBig - 1]);
-        };
-        program(serial, qs);
-        program(sharded, qt);
-        expect_bit_identical(serial, sharded);
-      }
+      sim::StateVector serial(31);
+      sim::ShardedStateVector sharded(s, 31);
+      sharded.set_num_threads(t);
+      const auto qs = allocate_in_physical_order(serial, kBig, s);
+      const auto qt = allocate_in_physical_order(sharded, kBig, s);
+      prepare(serial, qs);
+      prepare(sharded, qt);
+      auto program = [](sim::Backend& sv,
+                        const std::vector<sim::QubitId>& q) {
+        sv.h(q[kBig - 1]);
+        sv.cnot(q[0], q[kBig - 1]);
+        sv.cnot(q[kBig - 1], q[3]);
+        sv.ry(q[kBig - 2], 0.77);
+        (void)sv.measure(q[kBig - 1]);
+      };
+      program(serial, qs);
+      program(sharded, qt);
+      expect_bit_identical(serial, sharded);
     }
   }
 }

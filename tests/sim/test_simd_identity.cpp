@@ -157,9 +157,6 @@ TEST(SimdIdentity, PrimitivesMatchScalarAtOddSizesAndOffsets) {
                    Complex* b) { o.axpy(a, b, n, f); },
                "axpy");
         check2([&](const simd::Ops& o, Complex* a,
-                   Complex* b) { o.combine(a, b, n, f, g); },
-               "combine");
-        check2([&](const simd::Ops& o, Complex* a,
                    Complex* b) { o.pair_dense(a, b, n, f, g, -g, -f); },
                "pair_dense");
         check2([&](const simd::Ops& o, Complex* a,
@@ -298,36 +295,32 @@ TEST(SimdIdentity, DenseMatrixK1To4) {
 // ------------------------------------------------------- sharded backend ---
 
 // The full gate mix at 1/2/4/8 shards: local sweeps, global diagonals,
-// exchange combines, relabel pulls, and fused clusters all run through
-// the vector primitives and must stay bit-identical to scalar-serial.
+// relabel pulls, and fused clusters all run through the vector primitives
+// and must stay bit-identical to scalar-serial.
 TEST(SimdIdentity, ShardedBackendAllTiers) {
   for (const unsigned s : kShardCounts) {
-    for (const bool relabel : {false, true}) {
-      check_tiers(
-          [relabel](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
-            static_cast<sim::ShardedStateVector&>(sv).set_relabel_policy(
-                relabel);
-            const std::size_t n = q.size();
-            sv.h(q[2]);
-            sv.ry(q[n - 1], 1.234);     // global target -> exchange/relabel
-            sv.rz(q[n - 1], 0.81);      // global diagonal
-            sv.t(q[n - 2]);             // global phase-type
-            sv.cnot(q[0], q[n - 1]);    // local ctrl, global target
-            sv.cnot(q[n - 1], q[1]);    // global ctrl, local target
-            sv.flush_gates();
-            sv.cnot(q[0], q[1]);        // fused Trotter term
-            sv.rz(q[1], 0.21);
-            sv.cnot(q[0], q[1]);
-            sv.flush_gates();
-            for (std::size_t i = 0; i < 3; ++i) {  // k=4 chain on q[0..3]
-              sv.cnot(q[i], q[i + 1]);
-              sv.rz(q[i + 1], 0.13 + 0.02 * static_cast<double>(i));
-              sv.cnot(q[i], q[i + 1]);
-            }
-            sv.flush_gates();
-          },
-          s);
-    }
+    check_tiers(
+        [](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
+          const std::size_t n = q.size();
+          sv.h(q[2]);
+          sv.ry(q[n - 1], 1.234);     // global target -> relabel
+          sv.rz(q[n - 1], 0.81);      // global diagonal
+          sv.t(q[n - 2]);             // global phase-type
+          sv.cnot(q[0], q[n - 1]);    // local ctrl, global target
+          sv.cnot(q[n - 1], q[1]);    // global ctrl, local target
+          sv.flush_gates();
+          sv.cnot(q[0], q[1]);        // fused Trotter term
+          sv.rz(q[1], 0.21);
+          sv.cnot(q[0], q[1]);
+          sv.flush_gates();
+          for (std::size_t i = 0; i < 3; ++i) {  // k=4 chain on q[0..3]
+            sv.cnot(q[i], q[i + 1]);
+            sv.rz(q[i + 1], 0.13 + 0.02 * static_cast<double>(i));
+            sv.cnot(q[i], q[i + 1]);
+          }
+          sv.flush_gates();
+        },
+        s);
   }
 }
 

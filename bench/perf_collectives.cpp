@@ -13,14 +13,10 @@
 //   - 8 B: latency-bound. Hub routing pays two wire hops and an extra
 //     thread wakeup per message; direct links pay one hop.
 //   - 32 KiB: bandwidth-bound. Hub routing moves every byte across
-//     loopback twice and copies it two extra times (hub read + forward),
-//     and the star-schedule allgather (gather + bcast of the full
-//     vector) moves ~2.5x the bytes of the p2p ring.
-// The per-row figure of merit is the hub/p2p time ratio. On a multicore
-// host the ring and recursive-doubling schedules additionally run their
-// edges in parallel, which widens the small-payload ratios; on a
-// single-core host those schedules pay more thread wakeups than the
-// star, so their small-payload rows can dip below 1x there.
+//     loopback twice and copies it two extra times (hub read + forward).
+// Both routings run the same schedules (ring allgather, recursive-doubling
+// allreduce, binomial bcast), so the per-row figure of merit, the hub/p2p
+// time ratio, is the cost of routing alone.
 
 #include <algorithm>
 #include <array>

@@ -3,7 +3,7 @@
 // of the operations the QMPI protocols lean on (CNOT, multi-controlled
 // gates, measurement, parity measurement, allocation). Not a paper figure —
 // this characterizes the simulation substrate that stands in for the
-// authors' testbed, and tracks the specialized-kernel + fusion + persistent
+// authors' testbed, and tracks the block-replay + fusion + persistent
 // thread-pool hot path.
 //
 // Gate benchmarks call flush_gates() inside the timed region so they
@@ -122,7 +122,8 @@ BENCHMARK(BM_RotationFused)->Arg(10)->Arg(16)->Arg(20);
 void BM_Cnot(benchmark::State& state) {
   // Entangling gates are lazy since cluster fusion landed; flush inside
   // the timed region so this still measures the real sweep (a single
-  // queued CNOT flushes through the same specialized kernel as before).
+  // queued CNOT flushes as a one-op program whose control is a fixed
+  // bit of the sweep, so only control-satisfying pairs are visited).
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::StateVector sv(g_seed);
   const auto q = sv.allocate(n);
@@ -685,6 +686,27 @@ void bench_isa_low_cluster(benchmark::State& state, simd::Isa isa,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 9);
 }
 
+/// Lone gates on state positions 0 and 1: an H, an Rz and a CNOT between
+/// the two, each flushed alone. Their one-op programs have runs shorter
+/// than simd::kMinRun, so on a vector tier they take the row tile.
+void bench_isa_low_lone(benchmark::State& state, simd::Isa isa,
+                        std::size_t n) {
+  simd::set_active(isa);
+  sim::StateVector sv(g_seed);
+  const auto q = sv.allocate(n);
+  for (auto _ : state) {
+    for (std::size_t p = 0; p < 2; ++p) {
+      sv.h(q[p]);
+      sv.flush_gates();
+      sv.rz(q[p], 0.1);
+      sv.flush_gates();
+      sv.cnot(q[1 - p], q[p]);
+      sv.flush_gates();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 6);
+}
+
 void register_isa_series() {
   constexpr std::size_t kIsaQubits = 20;
   constexpr std::size_t kLowClusterQubits = 14;  // 256 KiB: L2-resident
@@ -711,6 +733,10 @@ void register_isa_series() {
         ("BM_FusedClusterLowIsa/" + tag).c_str(),
         [isa](benchmark::State& st) {
           bench_isa_low_cluster(st, isa, kLowClusterQubits);
+        });
+    benchmark::RegisterBenchmark(
+        ("BM_LoneGateLowIsa/" + tag).c_str(), [isa](benchmark::State& st) {
+          bench_isa_low_lone(st, isa, kLowClusterQubits);
         });
   }
 }

@@ -122,10 +122,9 @@ class Comm {
     requires std::is_trivially_copyable_v<T>
   T scatter(std::span<const T> values, int root);
 
-  /// All-gathers one value per rank to every rank. On a peer-to-peer
-  /// transport this is a ring (N-1 neighbor exchanges, no rank hosts more
-  /// than 2 messages per step); on a hub-routed transport it falls back to
-  /// gather + bcast (fewest total messages through the single relay).
+  /// All-gathers one value per rank to every rank: a ring (N-1 neighbor
+  /// exchanges, no rank hosts more than 2 messages per step) on every
+  /// transport and routing.
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> allgather(const T& value);
@@ -141,12 +140,11 @@ class Comm {
     requires std::is_trivially_copyable_v<T>
   T reduce(const T& value, Op op, int root);
 
-  /// Reduction whose result is available on every rank. On a peer-to-peer
-  /// transport with a power-of-two size this runs recursive doubling
-  /// (log N rounds of pairwise exchange, no root bottleneck); otherwise it
-  /// falls back to reduce-to-0 + bcast. Both paths fold operands in the
-  /// same balanced ascending-rank association, so even non-commutative or
-  /// floating-point ops produce bit-identical results across transports.
+  /// Reduction whose result is available on every rank, by recursive
+  /// doubling (log N rounds of pairwise exchange, no root bottleneck) on
+  /// every transport and routing. Operands fold in ascending-rank order,
+  /// so non-commutative ops are safe, and floating-point results are
+  /// bit-identical across transports and QMPI_P2P settings.
   template <typename T, typename Op>
     requires std::is_trivially_copyable_v<T>
   T allreduce(const T& value, Op op);
@@ -374,21 +372,14 @@ template <typename T>
   requires std::is_trivially_copyable_v<T>
 std::vector<T> Comm::allgather(const T& value) {
   const int n = size();
-  if (!transport_->peer_to_peer() || n <= 2) {
-    // Hub-routed transport: every message crosses the relay anyway, so the
-    // two binomial phases (fewest total messages) win. At n <= 2 the ring
-    // degenerates to the same single exchange.
-    auto gathered = gather(value, 0);
-    if (rank() != 0) gathered.resize(static_cast<std::size_t>(n));
-    bcast(std::span<T>(gathered), 0);
-    return gathered;
-  }
-  // Ring allgather over direct links: step k sends block (rank - k) to the
-  // right neighbor and receives block (rank - k - 1) from the left one, so
-  // each block travels one hop per step and no rank ever carries more than
-  // two messages at once. Sends are eager (never block), which makes the
-  // ring deadlock-free; a single tag suffices because per-source FIFO
-  // delivery keeps the N-1 messages from `prev` in step order.
+  // Ring allgather: step k sends block (rank - k) to the right neighbor
+  // and receives block (rank - k - 1) from the left one, so each block
+  // travels one hop per step and no rank ever carries more than two
+  // messages at once. Sends are eager (never block), which makes the ring
+  // deadlock-free; a single tag suffices because per-source FIFO delivery
+  // keeps the N-1 messages from `prev` in step order. Every rank runs this
+  // one schedule whatever its routing, so processes that disagree on
+  // QMPI_P2P still match message for message.
   const int tag = next_collective_tag();
   const int next = (rank() + 1) % n;
   const int prev = (rank() - 1 + n) % n;
@@ -460,24 +451,19 @@ template <typename T, typename Op>
   requires std::is_trivially_copyable_v<T>
 T Comm::allreduce(const T& value, Op op) {
   const int n = size();
-  if (!transport_->peer_to_peer() || n == 1) {
-    T result = reduce(value, op, 0);
-    return bcast(result, 0);
-  }
   // Recursive doubling: round k exchanges partial results with the rank
   // whose k-th address bit differs, halving the remaining distance each
   // round. Both sides fold lower-rank-group op higher-rank-group; for
   // power-of-two worlds that is exactly the balanced association the
-  // binomial reduce above uses, so the fallback path and this path agree
-  // bit-for-bit even for floating-point ops.
+  // binomial reduce above uses, so allreduce and reduce agree bit for bit
+  // even for floating-point ops.
   //
   // Other sizes use the classic remainder handling: with n = pof2 + rem,
   // the first 2*rem ranks pre-fold pairwise (odd rank into the even rank
   // below it) so exactly pof2 survivors run the doubling rounds, and the
   // folded-out odd ranks receive the total afterwards. The fold order is
-  // fixed for a given world size, so results are reproducible run to run;
-  // it differs from the binomial fallback's association, so non-pow2
-  // floating-point reductions are only comparable within one routing mode.
+  // fixed for a given world size and is the same under every routing, so
+  // results are reproducible run to run and across QMPI_P2P settings.
   const int tag = next_collective_tag();
   const int pof2 = static_cast<int>(std::bit_floor(static_cast<unsigned>(n)));
   const int rem = n - pof2;

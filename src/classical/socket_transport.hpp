@@ -439,7 +439,6 @@ class SocketTransport final : public Transport {
   /// wakes local sim waiters and blocked ranks.
   void shutdown(const std::string& reason) override;
   const char* name() const override { return "tcp"; }
-  bool peer_to_peer() const override { return mesh_ != nullptr; }
 
   /// The world ranks this process hosts.
   RankBlock local_ranks() const { return local_; }

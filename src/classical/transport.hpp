@@ -120,13 +120,6 @@ class Transport {
   /// The local inbox of `world_rank`. Only valid for ranks hosted in this
   /// process; implementations throw on a non-local rank.
   virtual Mailbox& mailbox(int world_rank) = 0;
-
-  /// Capability query: true when cross-process rank pairs generally get
-  /// direct peer links. Only classical::Comm consults it: its allgather
-  /// and allreduce select ring / recursive-doubling schedules only when
-  /// this holds; hub-routed transports keep the centralized schedules so
-  /// QMPI_P2P=off is byte-identical to the pre-p2p behavior.
-  virtual bool peer_to_peer() const = 0;
 };
 
 }  // namespace qmpi::classical

@@ -44,9 +44,6 @@ class Universe final : public Transport {
     return *channels_[static_cast<std::size_t>(dest_world_rank)];
   }
 
-  /// Every pair of ranks shares an address space: all channels are direct.
-  bool peer_to_peer() const override { return true; }
-
   /// Allocates a fresh communicator context id. Ranks must call this
   /// collectively in the same order so they agree on the id; the Comm layer
   /// guarantees that by electing rank 0 to allocate and broadcasting.

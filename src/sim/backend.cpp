@@ -9,7 +9,22 @@
 namespace qmpi::sim {
 
 namespace {
+
 constexpr double kEps = 1e-10;
+
+/// Compiles `ops` (cluster-local targets and controls) into one block
+/// program over a 2^k block: the one compile step of every gate sweep.
+std::vector<kernels::BlockOp> compile_ops(std::span<const ClusterOp> ops,
+                                          std::size_t k) {
+  std::vector<kernels::BlockOp> compiled;
+  compiled.reserve(ops.size());
+  for (const ClusterOp& op : ops) {
+    kernels::compile_block_op(op.gate, op.target, op.ctrl_mask, 1ULL << k,
+                              compiled);
+  }
+  return compiled;
+}
+
 }  // namespace
 
 std::vector<QubitId> Backend::allocate(std::size_t count) {
@@ -71,57 +86,48 @@ void Backend::track_gate(const Gate1Q& gate, std::size_t target,
   b = kUnknownBasis;
 }
 
+void Backend::apply_gate_at(const Gate1Q& gate, std::size_t pos,
+                            std::uint64_t ctrl_mask) const {
+  const ClusterOp op{gate};
+  apply_cluster_at({&pos, 1}, ctrl_mask, compile_ops({&op, 1}, 1));
+}
+
 void Backend::apply_cluster(const GateCluster& cluster) const {
   // Ids were validated at push time and every deallocation path flushes
   // the clusters touching a qubit before removing it, so all entries must
   // still be live.
+  const auto position = [this](QubitId q) { return index_.find(q)->second; };
   if (cluster.num_ops() == 1) {
     const ClusterOp& op = cluster.ops().front();
     std::uint64_t ctrl_mask = 0;
     for (unsigned b = 0; b < cluster.num_qubits(); ++b) {
       if (op.ctrl_mask & (1U << b)) {
-        ctrl_mask |= 1ULL << index_.find(cluster.qubits()[b])->second;
+        ctrl_mask |= 1ULL << position(cluster.qubits()[b]);
       }
     }
-    apply_at(op.gate, index_.find(cluster.qubits()[op.target])->second,
-             ctrl_mask);
+    apply_gate_at(op.gate, position(cluster.qubits()[op.target]), ctrl_mask);
     return;
   }
   std::vector<std::size_t> pos(cluster.num_qubits());
   for (std::size_t j = 0; j < pos.size(); ++j) {
-    pos[j] = index_.find(cluster.qubits()[j])->second;
+    pos[j] = position(cluster.qubits()[j]);
   }
-  // Compile the run once — precomputed index lists make the per-block
-  // replay branch-free — then hand the whole cluster to one block sweep.
   // With a cluster cache attached, probe by content key first: a repeated
   // cluster (Trotter step, repeated job) replays the cached program, which
-  // is bit-identical to a fresh compile because both feed the same
-  // instruction stream to apply_cluster_at.
-  if (cluster_cache_) {
-    const ClusterKey key = make_cluster_key(cluster);
-    if (ClusterCache::Program hit = cluster_cache_->lookup(key)) {
-      apply_cluster_at(pos, *hit);
-      return;
-    }
-    auto compiled = std::make_shared<std::vector<kernels::BlockOp>>();
-    compiled->reserve(cluster.num_ops());
-    const std::size_t block_size = 1ULL << pos.size();
-    for (const ClusterOp& op : cluster.ops()) {
-      kernels::compile_block_op(op.gate, op.target, op.ctrl_mask, block_size,
-                                *compiled);
-    }
-    apply_cluster_at(pos, *compiled);
-    cluster_cache_->insert(key, std::move(compiled));
+  // is the program a fresh compile would produce.
+  if (!cluster_cache_) {
+    apply_cluster_at(pos, /*ctrl_mask=*/0,
+                     compile_ops(cluster.ops(), pos.size()));
     return;
   }
-  const std::size_t block_size = 1ULL << pos.size();
-  std::vector<kernels::BlockOp> compiled;
-  compiled.reserve(cluster.num_ops());
-  for (const ClusterOp& op : cluster.ops()) {
-    kernels::compile_block_op(op.gate, op.target, op.ctrl_mask, block_size,
-                              compiled);
+  const ClusterKey key = make_cluster_key(cluster);
+  ClusterCache::Program program = cluster_cache_->lookup(key);
+  if (!program) {
+    program = std::make_shared<const std::vector<kernels::BlockOp>>(
+        compile_ops(cluster.ops(), pos.size()));
+    cluster_cache_->insert(key, program);
   }
-  apply_cluster_at(pos, compiled);
+  apply_cluster_at(pos, /*ctrl_mask=*/0, *program);
 }
 
 void Backend::queue_gate(const Gate1Q& gate,
@@ -188,7 +194,7 @@ void Backend::apply(const Gate1Q& gate, QubitId target) {
     queue_gate(gate, {}, target);
     return;
   }
-  apply_at(gate, pos, /*ctrl_mask=*/0);
+  apply_gate_at(gate, pos, /*ctrl_mask=*/0);
 }
 
 void Backend::apply_controlled(const Gate1Q& gate,
@@ -209,7 +215,7 @@ void Backend::apply_controlled(const Gate1Q& gate,
     return;
   }
   flush_gates();  // too many qubits to fuse (or fusion off): apply eagerly
-  apply_at(gate, tpos, mask);
+  apply_gate_at(gate, tpos, mask);
 }
 
 void Backend::apply_matrix(std::span<const Complex> matrix,

@@ -280,10 +280,14 @@ class Backend {
   void queue_gate(const Gate1Q& gate, std::span<const QubitId> controls,
                   QubitId target);
 
-  /// Applies one fused cluster. Single-op clusters go through the
-  /// specialized apply_at kernels — a lone CNOT/Toffoli costs exactly what
-  /// it did before cluster fusion — and multi-op clusters take one
-  /// apply_cluster_at block sweep.
+  /// Applies a lone gate: a one-op program on the 1-qubit block at logical
+  /// `pos`, its controls the fixed bits `ctrl_mask` of the sweep.
+  void apply_gate_at(const Gate1Q& gate, std::size_t pos,
+                     std::uint64_t ctrl_mask) const;
+
+  /// Applies one fused cluster: a single-op cluster as a lone gate (its
+  /// controls enumerated, not replayed), a multi-op one as one block
+  /// sweep over all its qubits.
   void apply_cluster(const GateCluster& cluster) const;
 
   // ---------------------------------------------- representation hooks ---
@@ -292,9 +296,9 @@ class Backend {
   // remove already applied; clusters on other qubits may still be pending
   // (they commute with the hook). Hooks over the whole state (amplitude_at,
   // expectation_masks, pauli_rotation_masks, apply_matrix_at, norm_state,
-  // snapshot_state) run with the queue fully flushed. apply_at and
-  // apply_cluster_at ARE the flush targets. Every hook must produce results
-  // bit-identical to the serial backend.
+  // snapshot_state) run with the queue fully flushed. apply_cluster_at IS
+  // the flush target. Every hook must produce results bit-identical to the
+  // serial backend.
 
   /// Appends a |0> tensor factor (the new qubit's logical position is
   /// num_qubits() - 1; the bookkeeping is already updated when called).
@@ -305,20 +309,16 @@ class Backend {
   /// Only the clusters touching `pos` have been applied (see above).
   virtual void remove_position_state(std::size_t pos, bool bit) = 0;
 
-  /// Applies a (possibly controlled) 2x2 unitary at logical position `pos`
-  /// with logical control mask `ctrl_mask`. Const because fusion makes gate
-  /// application lazy: logically-const observers may have to materialize
-  /// pending gates first (amplitude storage is mutable in backends).
-  virtual void apply_at(const Gate1Q& gate, std::size_t pos,
-                        std::uint64_t ctrl_mask) const = 0;
-
-  /// Applies a fused k-qubit cluster whose bit j lives at logical position
-  /// `pos[j]`, by replaying the compiled instructions over every 2^k block
-  /// in one sweep. kernels::run_block_ops is arithmetic-identical to
-  /// applying each gate in its own apply_at sweep, so fusion changes how
-  /// often memory is walked, never what is computed.
+  /// The one gate hook: replays the compiled program `ops` over every 2^k
+  /// block whose bit j lives at logical position `pos[j]` and whose
+  /// logical control bits `ctrl_mask` are all set. Per amplitude the op
+  /// sequence and arithmetic are kernels::run_block_ops's on every path,
+  /// so fusion changes how often memory is walked, never what is computed.
+  /// Const because fusion makes gate application lazy: logically-const
+  /// observers may have to materialize pending gates first (amplitude
+  /// storage is mutable in backends).
   virtual void apply_cluster_at(
-      std::span<const std::size_t> pos,
+      std::span<const std::size_t> pos, std::uint64_t ctrl_mask,
       std::span<const kernels::BlockOp> ops) const = 0;
 
   /// Applies a dense 2^k x 2^k unitary at logical positions `pos[0..k)`

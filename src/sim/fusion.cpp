@@ -91,15 +91,18 @@ std::vector<Complex> GateCluster::matrix() const {
   const std::size_t dim = 1ULL << qubits_.size();
   std::vector<Complex> m(dim * dim, Complex(0.0, 0.0));
   for (std::size_t j = 0; j < dim; ++j) m[j * dim + j] = Complex(1.0, 0.0);
-  // Column c of the product is the run applied to |c>: replay the ops on
-  // each column exactly as the flush sweep replays them on a block.
+  // Column c of the product is the run applied to |c>: replay the
+  // compiled ops on each column exactly as the flush sweep replays them on
+  // a block.
+  std::vector<kernels::BlockOp> compiled;
+  for (const ClusterOp& op : ops_) {
+    kernels::compile_block_op(op.gate, op.target, op.ctrl_mask, dim,
+                              compiled);
+  }
   std::array<Complex, 1ULL << kernels::kMaxBlockQubits> col;
   for (std::size_t c = 0; c < dim; ++c) {
     for (std::size_t r = 0; r < dim; ++r) col[r] = m[r * dim + c];
-    for (const ClusterOp& op : ops_) {
-      kernels::apply_1q_in_block(col.data(), dim, op.target, op.ctrl_mask,
-                                 op.gate);
-    }
+    kernels::run_block_ops(col.data(), compiled);
     for (std::size_t r = 0; r < dim; ++r) m[r * dim + c] = col[r];
   }
   return m;

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,20 +14,6 @@
 #include "sim/simd.hpp"
 
 namespace qmpi::sim::kernels {
-
-/// Structural class of a 2x2 unitary, used to pick a specialized kernel.
-enum class GateKind {
-  kDiagonal,      ///< [a 0; 0 d] — Z, S, T, Rz, phase: one multiply per amp
-  kAntiDiagonal,  ///< [0 b; c 0] — X, Y: a swap (with optional phases)
-  kGeneral,       ///< dense 2x2 — H, Rx, Ry, fused products
-};
-
-inline GateKind classify(const Gate1Q& g) {
-  const Complex zero(0.0, 0.0);
-  if (g.m[1] == zero && g.m[2] == zero) return GateKind::kDiagonal;
-  if (g.m[0] == zero && g.m[3] == zero) return GateKind::kAntiDiagonal;
-  return GateKind::kGeneral;
-}
 
 /// Maps a compressed loop index to a full state index by splicing zero bits
 /// into a set of fixed positions (sorted ascending) and OR-ing in `base`.
@@ -99,261 +86,16 @@ inline void remove_bit_in_place(Complex* amp, std::size_t n, std::size_t pos,
   }
 }
 
-/// The run structure the SIMD sweeps exploit: an IndexExpander passes the
-/// bits of `k` below its lowest fixed position straight through, so
-/// compressed indices within an aligned window of this length map to
-/// *contiguous* state addresses — ex(k) = ex(k0) + (k - k0). Every
-/// vectorized sweep decomposes its compressed range into such runs and
-/// hands each one to a simd primitive; below simd::kMinRun per run the
-/// pointer-call overhead wins and the sweeps keep their scalar loops.
-inline std::size_t contiguous_run(const IndexExpander& ex) {
-  return ex.npos == 0 ? ~std::size_t{0} : std::size_t{1} << ex.pos[0];
-}
-
-/// Scales the contiguous amplitude run at `addr` (length `len`) by m00 or
-/// m11 according to each address's target bit, splitting the run at
-/// `stride` boundaries so every simd call covers one factor-constant
-/// stretch. Elementwise, so any decomposition yields identical bits.
-inline void scale_run_by_target(const simd::Ops& vo, Complex* amp,
-                                std::size_t addr, std::size_t len,
-                                std::uint64_t stride, Complex m00,
-                                Complex m11) {
-  while (len > 0) {
-    const std::size_t upto = std::min<std::size_t>(
-        len, stride - (addr & (stride - 1)));
-    vo.scale(amp + addr, upto, (addr & stride) ? m11 : m00);
-    addr += upto;
-    len -= upto;
-  }
-}
-
-/// Applies a (possibly controlled) single-qubit gate to `amp[0..n)`,
-/// dispatching to a specialized kernel by gate structure. `pfor` is a
-/// callable `pfor(count, fn)` running `fn(begin, end)` over [0, count),
-/// possibly in parallel; every element is written by exactly one iteration,
-/// so results are bit-identical regardless of how `pfor` splits the range.
-template <typename PFor>
-void apply_1q(Complex* amp, std::size_t n, std::size_t tpos,
-              const Gate1Q& g, std::uint64_t ctrl_mask, PFor&& pfor) {
-  const std::uint64_t stride = 1ULL << tpos;
-  const int nctrl = std::popcount(ctrl_mask);
-  const GateKind kind = classify(g);
-  const Complex one(1.0, 0.0);
-  const simd::Ops& vo = simd::ops();
-  const bool vector = vo.isa != simd::Isa::kScalar;
-
-  if (kind == GateKind::kDiagonal) {
-    const Complex m00 = g.m[0], m11 = g.m[3];
-    if (m00 == one) {
-      // Phase-type (Z, S, T, phase): only amplitudes with target=1 (and all
-      // controls set) change — an |n|/2^(k+1) sweep with one multiply each.
-      IndexExpander ex;
-      ex.add_mask(ctrl_mask);
-      ex.add_position(tpos);
-      ex.base = ctrl_mask | stride;
-      const std::size_t run = contiguous_run(ex);
-      if (vector && run >= simd::kMinRun) {
-        pfor(n >> (nctrl + 1), [&](std::size_t begin, std::size_t end) {
-          std::size_t k = begin;
-          while (k < end) {
-            const std::size_t rend = std::min(end, (k / run + 1) * run);
-            vo.scale(amp + ex(k), rend - k, m11);
-            k = rend;
-          }
-        });
-      } else {
-        pfor(n >> (nctrl + 1), [&](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) amp[ex(k)] *= m11;
-        });
-      }
-    } else if (ctrl_mask == 0) {
-      // General diagonal (Rz): one multiply per amplitude, no pairing.
-      if (vector && stride >= simd::kMinRun) {
-        pfor(n, [&](std::size_t begin, std::size_t end) {
-          scale_run_by_target(vo, amp, begin, end - begin, stride, m00, m11);
-        });
-      } else {
-        pfor(n, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            amp[i] *= (i & stride) ? m11 : m00;
-          }
-        });
-      }
-    } else {
-      // Controlled diagonal: enumerate control-satisfying indices only.
-      IndexExpander ex;
-      ex.add_mask(ctrl_mask);
-      ex.base = ctrl_mask;
-      const std::size_t run = contiguous_run(ex);
-      if (vector && run >= simd::kMinRun && stride >= simd::kMinRun) {
-        pfor(n >> nctrl, [&](std::size_t begin, std::size_t end) {
-          std::size_t k = begin;
-          while (k < end) {
-            const std::size_t rend = std::min(end, (k / run + 1) * run);
-            scale_run_by_target(vo, amp, ex(k), rend - k, stride, m00, m11);
-            k = rend;
-          }
-        });
-      } else {
-        pfor(n >> nctrl, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t i = ex(k);
-            amp[i] *= (i & stride) ? m11 : m00;
-          }
-        });
-      }
-    }
-    return;
-  }
-
-  // Pair kernels: fixed bits are the target plus all controls. The i0
-  // addresses of an aligned compressed-index run are contiguous, and
-  // i1 = i0 + stride always (the target bit is fixed 0 in i0), so one run
-  // is exactly two parallel amplitude spans — the simd pair primitives'
-  // shape.
-  IndexExpander ex;
-  ex.add_mask(ctrl_mask);
-  ex.add_position(tpos);
-  ex.base = ctrl_mask;  // target bit stays 0 in i0
-  const std::size_t pairs = n >> (nctrl + 1);
-  const std::size_t run = contiguous_run(ex);
-  const bool vrun = vector && run >= simd::kMinRun;
-
-  if (kind == GateKind::kAntiDiagonal) {
-    const Complex m01 = g.m[1], m10 = g.m[2];
-    if (m01 == one && m10 == one) {
-      // X / CNOT / Toffoli: a pure permutation — swap, no arithmetic.
-      if (vrun) {
-        pfor(pairs, [&](std::size_t begin, std::size_t end) {
-          std::size_t k = begin;
-          while (k < end) {
-            const std::size_t rend = std::min(end, (k / run + 1) * run);
-            const std::size_t i0 = ex(k);
-            vo.swap_halves(amp + i0, amp + i0 + stride, rend - k);
-            k = rend;
-          }
-        });
-      } else {
-        pfor(pairs, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t i0 = ex(k);
-            std::swap(amp[i0], amp[i0 | stride]);
-          }
-        });
-      }
-    } else if (vrun) {
-      pfor(pairs, [&](std::size_t begin, std::size_t end) {
-        std::size_t k = begin;
-        while (k < end) {
-          const std::size_t rend = std::min(end, (k / run + 1) * run);
-          const std::size_t i0 = ex(k);
-          vo.pair_antidiag(amp + i0, amp + i0 + stride, rend - k, m01, m10);
-          k = rend;
-        }
-      });
-    } else {
-      pfor(pairs, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::size_t i0 = ex(k);
-          const std::size_t i1 = i0 | stride;
-          const Complex a0 = amp[i0];
-          amp[i0] = m01 * amp[i1];
-          amp[i1] = m10 * a0;
-        }
-      });
-    }
-    return;
-  }
-
-  const Complex m00 = g.m[0], m01 = g.m[1], m10 = g.m[2], m11 = g.m[3];
-  if (vrun) {
-    pfor(pairs, [&](std::size_t begin, std::size_t end) {
-      std::size_t k = begin;
-      while (k < end) {
-        const std::size_t rend = std::min(end, (k / run + 1) * run);
-        const std::size_t i0 = ex(k);
-        vo.pair_dense(amp + i0, amp + i0 + stride, rend - k, m00, m01, m10,
-                      m11);
-        k = rend;
-      }
-    });
-  } else {
-    pfor(pairs, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::size_t i0 = ex(k);
-        const std::size_t i1 = i0 | stride;
-        const Complex a0 = amp[i0];
-        const Complex a1 = amp[i1];
-        amp[i0] = m00 * a0 + m01 * a1;
-        amp[i1] = m10 * a0 + m11 * a1;
-      }
-    });
-  }
-}
-
-/// Applies a (possibly controlled) 2x2 unitary to a gathered block of
-/// 2^k amplitudes, where `target` and `ctrl_mask` are *block-local* bit
-/// indices. The classification and multiply/add order mirror apply_1q
-/// exactly, so replaying a fused cluster's gates block by block performs
-/// the same arithmetic per amplitude as applying each gate in its own
-/// full O(2^n) sweep — which is what makes cluster fusion bit-compatible
-/// with gate-by-gate execution.
-inline void apply_1q_in_block(Complex* block, std::size_t block_size,
-                              unsigned target, unsigned ctrl_mask,
-                              const Gate1Q& g) {
-  const std::size_t stride = 1ULL << target;
-  const GateKind kind = classify(g);
-  const Complex one(1.0, 0.0);
-
-  if (kind == GateKind::kDiagonal) {
-    const Complex m00 = g.m[0], m11 = g.m[3];
-    if (m00 == one) {
-      // Phase-type: only control-satisfying amplitudes with target=1 move.
-      for (std::size_t i = 0; i < block_size; ++i) {
-        if ((i & ctrl_mask) == ctrl_mask && (i & stride) != 0) {
-          block[i] *= m11;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < block_size; ++i) {
-        if ((i & ctrl_mask) == ctrl_mask) {
-          block[i] *= (i & stride) ? m11 : m00;
-        }
-      }
-    }
-    return;
-  }
-
-  for (std::size_t i0 = 0; i0 < block_size; ++i0) {
-    if ((i0 & stride) != 0 || (i0 & ctrl_mask) != ctrl_mask) continue;
-    const std::size_t i1 = i0 | stride;
-    if (kind == GateKind::kAntiDiagonal) {
-      const Complex m01 = g.m[1], m10 = g.m[2];
-      if (m01 == one && m10 == one) {
-        std::swap(block[i0], block[i1]);
-      } else {
-        const Complex a0 = block[i0];
-        block[i0] = m01 * block[i1];
-        block[i1] = m10 * a0;
-      }
-    } else {
-      const Complex a0 = block[i0];
-      const Complex a1 = block[i1];
-      block[i0] = g.m[0] * a0 + g.m[1] * a1;
-      block[i1] = g.m[2] * a0 + g.m[3] * a1;
-    }
-  }
-}
-
 /// Upper bound on block qubits the k-qubit kernels accept (16x16 matrix).
 inline constexpr std::size_t kMaxBlockQubits = 4;
 
-/// One compiled per-block instruction of a fused cluster: the same
-/// structural classification as apply_1q, with the control/target tests
-/// hoisted into precomputed index lists so the per-block replay runs
-/// branch-free, fixed-count inner loops. Compiled once per cluster flush,
-/// executed once per 2^k block — the compile cost is O(ops * 2^k) against
-/// an O(2^n) sweep.
+/// One compiled per-block instruction: a 2x2 gate's structural kind with
+/// its control/target tests hoisted into precomputed index lists, so the
+/// per-block replay runs branch-free, fixed-count inner loops. Every gate
+/// sweep is a program of these — a fused cluster's ops over its 2^k block,
+/// a lone gate as one op on a 1-qubit block — compiled once per flush and
+/// executed once per block, an O(ops * 2^k) compile against an O(2^n)
+/// sweep.
 struct BlockOp {
   enum class Kind : std::uint8_t {
     kScale,     ///< block[idx[j]] *= m00 (diagonal halves, phase gates)
@@ -369,64 +111,56 @@ struct BlockOp {
 };
 
 /// Compiles one (gate, block-local target, block-local ctrl mask) into
-/// block instructions — one for pair kernels, one or two for diagonals —
-/// appending to `out`. The emitted arithmetic per amplitude is exactly
-/// apply_1q's for the same gate, so a compiled replay is bit-identical to
-/// gate-by-gate full sweeps.
+/// block instructions, appending to `out`: a diagonal gate scales the
+/// target-1 half by m11 and, unless m00 is exactly 1 (Z, S, T, phase), the
+/// target-0 half by m00; an antidiagonal one swaps (X) or cross-multiplies
+/// (Y) the pairs; any other one is a dense pair update. Every path through
+/// the replay below performs this same arithmetic per amplitude, which is
+/// what makes fused, unfused, serial, sharded and every SIMD tier agree
+/// bit for bit.
 inline void compile_block_op(const Gate1Q& g, unsigned target,
                              unsigned ctrl_mask, std::size_t block_size,
                              std::vector<BlockOp>& out) {
   const std::size_t stride = 1ULL << target;
-  const GateKind kind = classify(g);
+  const Complex zero(0.0, 0.0);
   const Complex one(1.0, 0.0);
-
-  if (kind == GateKind::kDiagonal) {
-    const Complex m00 = g.m[0], m11 = g.m[3];
-    BlockOp hi;
-    hi.kind = BlockOp::Kind::kScale;
-    hi.m00 = m11;
+  // Emits `op` over the control-satisfying indices whose target bit is
+  // `bit` (0 or stride) — for pair kinds the pair-lows.
+  const auto emit = [&](BlockOp op, std::size_t bit) {
     for (std::size_t i = 0; i < block_size; ++i) {
-      if ((i & ctrl_mask) == ctrl_mask && (i & stride) != 0) {
-        hi.idx[hi.count++] = static_cast<std::uint8_t>(i);
+      if ((i & ctrl_mask) == ctrl_mask && (i & stride) == bit) {
+        op.idx[op.count++] = static_cast<std::uint8_t>(i);
       }
     }
-    if (hi.count > 0) out.push_back(hi);
-    if (m00 != one) {
-      BlockOp lo;
-      lo.kind = BlockOp::Kind::kScale;
-      lo.m00 = m00;
-      for (std::size_t i = 0; i < block_size; ++i) {
-        if ((i & ctrl_mask) == ctrl_mask && (i & stride) == 0) {
-          lo.idx[lo.count++] = static_cast<std::uint8_t>(i);
-        }
-      }
-      if (lo.count > 0) out.push_back(lo);
-    }
+    if (op.count > 0) out.push_back(op);
+  };
+  BlockOp op;
+  if (g.m[1] == zero && g.m[2] == zero) {
+    op.kind = BlockOp::Kind::kScale;
+    op.m00 = g.m[0];
+    if (op.m00 != one) emit(op, 0);
+    op.m00 = g.m[3];
+    emit(op, stride);
     return;
   }
-
-  BlockOp op;
   op.stride = static_cast<std::uint8_t>(stride);
   op.m00 = g.m[0];
   op.m01 = g.m[1];
   op.m10 = g.m[2];
   op.m11 = g.m[3];
-  for (std::size_t i0 = 0; i0 < block_size; ++i0) {
-    if ((i0 & stride) == 0 && (i0 & ctrl_mask) == ctrl_mask) {
-      op.idx[op.count++] = static_cast<std::uint8_t>(i0);
-    }
+  if (op.m00 == zero && op.m11 == zero) {
+    op.kind = op.m01 == one && op.m10 == one ? BlockOp::Kind::kSwap
+                                             : BlockOp::Kind::kAntiDiag;
   }
-  if (kind == GateKind::kAntiDiagonal) {
-    op.kind = (op.m01 == one && op.m10 == one) ? BlockOp::Kind::kSwap
-                                               : BlockOp::Kind::kAntiDiag;
-  } else {
-    op.kind = BlockOp::Kind::kDense;
-  }
-  if (op.count > 0) out.push_back(op);
+  emit(op, 0);
 }
 
-/// Replays compiled instructions on one gathered 2^k block.
-inline void run_block_ops(Complex* block, std::span<const BlockOp> ops) {
+/// Replays compiled instructions on one gathered 2^k block. Forced inline:
+/// GCC 12 outlined it from the scalar tier's per-block loop in
+/// run_block_ops_sweep, which cost that gather 1.35x (one call and a
+/// reload of the op list per block).
+[[gnu::always_inline]] inline void run_block_ops(Complex* block,
+                                              std::span<const BlockOp> ops) {
   for (const BlockOp& op : ops) {
     switch (op.kind) {
       case BlockOp::Kind::kScale:
@@ -532,60 +266,72 @@ inline std::size_t block_sweep_run(std::span<const std::size_t> pos,
   return std::size_t{1} << std::countr_zero(fixed);
 }
 
-/// Replays compiled cluster ops across `c` blocks at once. Block-local
-/// offset b of all `c` blocks is the contiguous run `p + offs[b]`, so each
-/// op costs one simd primitive call per index it touches instead of one
-/// scalar update per block. Elementwise across the runs, so per amplitude
-/// the op sequence and arithmetic are exactly run_block_ops's — the one
-/// per-op dispatch of both vector replay paths below.
+/// Replays compiled ops across `c` consecutive blocks at each segment
+/// base in `segs`: block-local offset b of those blocks is the contiguous
+/// run `p + seg + offs[b]`, so each op costs one simd primitive call per
+/// index and segment instead of one scalar update per block. Elementwise
+/// across the runs, so per amplitude the op sequence and arithmetic are
+/// exactly run_block_ops's — the one per-op dispatch of both vector
+/// replay paths below.
 inline void run_block_ops_rows(const simd::Ops& vo,
                                std::span<const BlockOp> ops, Complex* p,
-                               const std::size_t* offs, std::size_t c) {
+                               const std::size_t* offs, std::size_t c,
+                               std::span<const std::size_t> segs) {
   for (const BlockOp& op : ops) {
-    switch (op.kind) {
-      case BlockOp::Kind::kScale:
-        for (unsigned j = 0; j < op.count; ++j) {
-          vo.scale(p + offs[op.idx[j]], c, op.m00);
-        }
-        break;
-      case BlockOp::Kind::kSwap:
-        for (unsigned j = 0; j < op.count; ++j) {
-          vo.swap_halves(p + offs[op.idx[j]], p + offs[op.idx[j] | op.stride],
-                         c);
-        }
-        break;
-      case BlockOp::Kind::kAntiDiag:
-        for (unsigned j = 0; j < op.count; ++j) {
-          vo.pair_antidiag(p + offs[op.idx[j]],
-                           p + offs[op.idx[j] | op.stride], c, op.m01,
-                           op.m10);
-        }
-        break;
-      case BlockOp::Kind::kDense:
-        for (unsigned j = 0; j < op.count; ++j) {
-          vo.pair_dense(p + offs[op.idx[j]], p + offs[op.idx[j] | op.stride],
-                        c, op.m00, op.m01, op.m10, op.m11);
-        }
-        break;
+    for (unsigned j = 0; j < op.count; ++j) {
+      const std::size_t lo = offs[op.idx[j]];
+      const std::size_t hi = offs[op.idx[j] | op.stride];
+      switch (op.kind) {
+        case BlockOp::Kind::kScale:
+          for (const std::size_t s : segs) vo.scale(p + s + lo, c, op.m00);
+          break;
+        case BlockOp::Kind::kSwap:
+          for (const std::size_t s : segs) {
+            vo.swap_halves(p + s + lo, p + s + hi, c);
+          }
+          break;
+        case BlockOp::Kind::kAntiDiag:
+          for (const std::size_t s : segs) {
+            vo.pair_antidiag(p + s + lo, p + s + hi, c, op.m01, op.m10);
+          }
+          break;
+        case BlockOp::Kind::kDense:
+          for (const std::size_t s : segs) {
+            vo.pair_dense(p + s + lo, p + s + hi, c, op.m00, op.m01, op.m10,
+                          op.m11);
+          }
+          break;
+      }
     }
   }
 }
 
-/// Blocks per row tile of the short-run cluster replay: 2^k rows of this
-/// many amplitudes are at most 16 KiB of per-lane scratch.
-inline constexpr std::size_t kTileBlocks = 64;
+/// Amplitudes per row tile of the short-run replay: 16 KiB of per-lane
+/// scratch, 2^k rows of kTileAmps / 2^k blocks each.
+inline constexpr std::size_t kTileAmps = 1024;
 
-/// Fused-cluster replay over the whole state: semantically identical to
-/// sweep_kq + run_block_ops per gathered block, which the scalar tier runs
-/// as the reference. With a SIMD tier active it takes one of two
-/// vectorized paths, both through run_block_ops_rows:
+/// Most short runs one streaming replay call takes: enough to amortize the
+/// op dispatch over many primitive calls, few enough that an op's pass
+/// over them finds the lines the previous op touched still in L1.
+inline constexpr std::size_t kMaxSegments = 32;
+
+/// The single segment of a row-tile replay call.
+inline constexpr std::size_t kNoSeg = 0;
+
+/// Replays a compiled block program over the whole state — every gate
+/// sweep runs here: a fused cluster's ops over its 2^k blocks, a lone gate
+/// as one op on 1-qubit blocks with its controls in `ctrl_mask`.
+/// Semantically identical to sweep_kq + run_block_ops per gathered block,
+/// which the scalar tier runs as the reference. With a SIMD tier active it
+/// takes one of two vectorized paths, both through run_block_ops_rows:
 ///  - *in-place streaming* (block_sweep_run >= simd::kMinRun): blocks come
 ///    in contiguous runs, so each op is applied in place across a
 ///    cache-blocked chunk of consecutive blocks — no copies;
-///  - *row tile* (run < kMinRun, i.e. a cluster or control bit on state
-///    position 0 or 1): a tile of kTileBlocks consecutive blocks is
+///  - *row tile* (run < kMinRun, i.e. a block or control bit on state
+///    position 0 or 1): a tile of kTileAmps >> k consecutive blocks is
 ///    gathered into 2^k rows, row b holding block-local offset b of every
 ///    block, replayed across the rows, and scattered back.
+/// Which path runs depends only on the fixed bits, never on the gate.
 /// Per amplitude the op sequence and arithmetic are exactly the gather
 /// path's, so fused-vs-unfused and shard-vs-serial contracts are unchanged.
 template <typename PFor>
@@ -599,7 +345,6 @@ void run_block_ops_sweep(Complex* amp, std::size_t n,
              [ops](Complex* block) { run_block_ops(block, ops); });
     return;
   }
-
   const std::size_t k = pos.size();
   IndexExpander ex;
   for (const std::size_t p : pos) ex.add_position(p);
@@ -608,52 +353,99 @@ void run_block_ops_sweep(Complex* amp, std::size_t n,
   const int nctrl = std::popcount(ctrl_mask);
   const std::size_t blocks = n >> (k + static_cast<std::size_t>(nctrl));
   const auto offs = block_offsets(pos);
-  const std::size_t run = block_sweep_run(pos, ctrl_mask);
+  std::uint64_t fixed = ctrl_mask;
+  for (const std::size_t p : pos) fixed |= 1ULL << p;
+  const std::size_t run = std::size_t{1} << std::countr_zero(fixed);
+  // Both paths step from block to block with the fixed bits held set:
+  // adding d then advances d blocks, the carry passing through the fixed
+  // bits, and `base_of` clears them and restores the controls.
+  const auto base_of = [fixed, ctrl_mask](std::uint64_t next) {
+    return static_cast<std::size_t>((next & ~fixed) | ctrl_mask);
+  };
 
   if (run < simd::kMinRun) {
-    std::array<std::size_t, 1ULL << kMaxBlockQubits> rows{};
-    for (std::size_t b = 0; b < (1ULL << k); ++b) rows[b] = b * kTileBlocks;
-    // ex(t + 1) from ex(t): set the fixed bits, carry +1 through them,
-    // clear them again and restore the controls.
-    std::uint64_t fixed = ctrl_mask;
-    for (const std::size_t p : pos) fixed |= 1ULL << p;
-    pfor(blocks, [&](std::size_t begin, std::size_t end) {
-      std::array<Complex, kTileBlocks << kMaxBlockQubits> tile;
-      std::array<std::size_t, kTileBlocks> bases;
-      for (std::size_t t = begin; t < end; t += kTileBlocks) {
-        const std::size_t c = std::min(kTileBlocks, end - t);
-        std::size_t next = ex(t);
-        for (std::size_t i = 0; i < c; ++i) {
-          bases[i] = next;
-          next = (((next | fixed) + 1) & ~fixed) | ctrl_mask;
-          for (std::size_t b = 0; b < (1ULL << k); ++b) {
-            tile[rows[b] + i] = amp[bases[i] | offs[b]];
+    // The block width is a template constant here, so the gather and
+    // scatter loops unroll per row.
+    const auto tile_sweep = [&](auto width) {
+      constexpr std::size_t kRows = std::size_t{1} << decltype(width)::value;
+      constexpr std::size_t kCols = kTileAmps / kRows;  // blocks per tile
+      std::array<std::size_t, kRows> rows;
+      for (std::size_t b = 0; b < kRows; ++b) rows[b] = b * kCols;
+      pfor(blocks, [&](std::size_t begin, std::size_t end) {
+        std::array<Complex, kTileAmps> tile;
+        std::array<std::size_t, kCols> bases;
+        std::uint64_t next = ex(begin) | fixed;
+        for (std::size_t t = begin; t < end; t += kCols) {
+          const std::size_t c = std::min(kCols, end - t);
+          for (std::size_t i = 0; i < c; ++i) {
+            bases[i] = base_of(next);
+            next = (next + 1) | fixed;
+            for (std::size_t b = 0; b < kRows; ++b) {
+              tile[b * kCols + i] = amp[bases[i] | offs[b]];
+            }
+          }
+          run_block_ops_rows(vo, ops, tile.data(), rows.data(), c,
+                             {&kNoSeg, 1});
+          for (std::size_t i = 0; i < c; ++i) {
+            for (std::size_t b = 0; b < kRows; ++b) {
+              amp[bases[i] | offs[b]] = tile[b * kCols + i];
+            }
           }
         }
-        run_block_ops_rows(vo, ops, tile.data(), rows.data(), c);
-        for (std::size_t i = 0; i < c; ++i) {
-          for (std::size_t b = 0; b < (1ULL << k); ++b) {
-            amp[bases[i] | offs[b]] = tile[rows[b] + i];
-          }
-        }
-      }
-    });
+      });
+    };
+    switch (k) {
+      case 1:
+        tile_sweep(std::integral_constant<std::size_t, 1>{});
+        break;
+      case 2:
+        tile_sweep(std::integral_constant<std::size_t, 2>{});
+        break;
+      case 3:
+        tile_sweep(std::integral_constant<std::size_t, 3>{});
+        break;
+      default:
+        tile_sweep(std::integral_constant<std::size_t, kMaxBlockQubits>{});
+        break;
+    }
     return;
   }
 
+  // Runs are aligned windows of `run` consecutive blocks. A piece is a
+  // whole run, or an L1-sized chunk of a long one when some amplitude is
+  // touched by more than one op (a lone gate touches each once, so it
+  // streams whole runs). One replay call covers up to `group` pieces, so
+  // a short run costs one primitive call per op index, not a pass through
+  // the whole dispatch.
   const std::size_t chunk =
       std::max<std::size_t>(simd::kMinRun, kStreamAmps >> k);
+  std::uint32_t touched = 0;
+  bool revisits = false;
+  for (const BlockOp& op : ops) {
+    for (unsigned j = 0; j < op.count; ++j) {
+      const std::uint32_t idx =
+          (1U << op.idx[j]) | (1U << (op.idx[j] | op.stride));
+      revisits = revisits || (touched & idx) != 0;
+      touched |= idx;
+    }
+  }
+  const std::size_t piece = revisits ? std::min(run, chunk) : run;
+  const std::size_t group =
+      std::clamp<std::size_t>(chunk / piece, 1, kMaxSegments);
   pfor(blocks, [&](std::size_t begin, std::size_t end) {
-    std::size_t t = begin;
-    while (t < end) {
-      const std::size_t rend = std::min(end, (t / run + 1) * run);
-      const std::size_t base = ex(t);
-      const std::size_t len = rend - t;
-      for (std::size_t done = 0; done < len; done += chunk) {
-        run_block_ops_rows(vo, ops, amp + base + done, offs.data(),
-                           std::min(chunk, len - done));
-      }
-      t = rend;
+    std::array<std::size_t, kMaxSegments> segs;
+    std::uint64_t next = ex(begin) | fixed;
+    for (std::size_t t = begin; t < end;) {
+      // A lane may start or end mid-piece: such a partial piece is
+      // replayed alone, whole pieces in groups.
+      const std::size_t len = std::min(end, (t | (piece - 1)) + 1) - t;
+      std::size_t g = 0;
+      do {
+        segs[g++] = base_of(next);
+        next = (next + len) | fixed;
+        t += len;
+      } while (g < group && len == piece && end - t >= piece);
+      run_block_ops_rows(vo, ops, amp, offs.data(), len, {segs.data(), g});
     }
   });
 }
@@ -676,17 +468,17 @@ inline auto matrix_block_op(const Complex* matrix, std::size_t block_size) {
   };
 }
 
-/// Applies a dense 2^k x 2^k unitary (row-major) on the state bits
-/// `pos[0..k)` of `amp[0..n)`, controlled on every bit of `ctrl_mask`
-/// being set — the generic k-qubit gate kernel behind Backend::
-/// apply_matrix and the composed-cluster white-box tests. Control-
-/// satisfying indices are enumerated, never branch-rejected, and `pfor`
-/// carries the ThreadPool chunking exactly as in apply_1q.
 /// Streaming chunk (in amplitudes per block-local row) of the vectorized
 /// dense-matrix path: 2^k rows of 64 amplitudes are 16 KiB of scratch,
 /// small enough for a lane's stack and L1.
 inline constexpr std::size_t kMatrixChunk = 64;
 
+/// Applies a dense 2^k x 2^k unitary (row-major) on the state bits
+/// `pos[0..k)` of `amp[0..n)`, controlled on every bit of `ctrl_mask`
+/// being set — the generic k-qubit gate kernel behind Backend::
+/// apply_matrix and the composed-cluster white-box tests. Control-
+/// satisfying indices are enumerated, never branch-rejected, and `pfor`
+/// carries the ThreadPool chunking exactly as in run_block_ops_sweep.
 template <typename PFor>
 void apply_matrix_kq(Complex* amp, std::size_t n,
                      std::span<const std::size_t> pos, const Complex* matrix,

@@ -262,34 +262,6 @@ void ShardedStateVector::remove_position_state(std::size_t pos, bool bit) {
 
 // -------------------------------------------------------------- gates ---
 
-void ShardedStateVector::apply_at(const Gate1Q& gate, std::size_t pos,
-                                  std::uint64_t ctrl_mask) const {
-  const std::size_t nl = local_bits();
-  const std::size_t pt = l2p_[pos];
-  if (pt >= nl && kernels::classify(gate) == kernels::GateKind::kDiagonal) {
-    // Diagonal on a global qubit: the shard index fixes the target bit, so
-    // each slice just scales — no communication, no reason to relabel.
-    const std::uint64_t pmask = to_physical(ctrl_mask);
-    apply_global_diagonal(gate, 1U << (pt - nl),
-                          static_cast<unsigned>(pmask >> nl),
-                          pmask & ((1ULL << nl) - 1));
-    return;
-  }
-  // The gathered block holds just the target bit; controls are fixed bits
-  // of the block enumeration.
-  std::vector<kernels::BlockOp> ops;
-  kernels::compile_block_op(gate, /*target=*/0, /*ctrl_mask=*/0,
-                            /*block_size=*/2, ops);
-  sweep_blocks_planned(
-      std::span<const std::size_t>(&pos, 1), ctrl_mask,
-      [&gate](Complex* amp, std::size_t m, std::span<const std::size_t> pts,
-              std::uint64_t local_mask, auto&& pfor) {
-        kernels::apply_1q(amp, m, pts[0], gate, local_mask,
-                          std::forward<decltype(pfor)>(pfor));
-      },
-      [&ops](Complex* block) { kernels::run_block_ops(block, ops); });
-}
-
 template <typename LocalFn, typename BlockFn>
 void ShardedStateVector::sweep_blocks_planned(
     std::span<const std::size_t> pos, std::uint64_t lmask,
@@ -380,11 +352,24 @@ void ShardedStateVector::sweep_blocks_planned(
 }
 
 void ShardedStateVector::apply_cluster_at(
-    std::span<const std::size_t> pos,
+    std::span<const std::size_t> pos, std::uint64_t ctrl_mask,
     std::span<const kernels::BlockOp> ops) const {
-  ++cluster_sweeps_;
+  const std::size_t nl = local_bits();
+  if (pos.size() == 1 && l2p_[pos[0]] >= nl &&
+      std::all_of(ops.begin(), ops.end(), [](const kernels::BlockOp& op) {
+        return op.kind == kernels::BlockOp::Kind::kScale;
+      })) {
+    // Diagonal on a global qubit: the shard index fixes the target bit, so
+    // each slice just scales — no communication, no reason to relabel.
+    const std::uint64_t pmask = to_physical(ctrl_mask);
+    apply_global_diagonal(ops, 1U << (l2p_[pos[0]] - nl),
+                          static_cast<unsigned>(pmask >> nl),
+                          pmask & ((1ULL << nl) - 1));
+    return;
+  }
+  if (pos.size() > 1) ++cluster_sweeps_;
   sweep_blocks_planned(
-      pos, /*lmask=*/0,
+      pos, ctrl_mask,
       [ops](Complex* amp, std::size_t m, std::span<const std::size_t> pt,
             std::uint64_t local_mask, auto&& pfor) {
         kernels::run_block_ops_sweep(amp, m, pt, local_mask,
@@ -409,17 +394,26 @@ void ShardedStateVector::apply_matrix_at(std::span<const Complex> matrix,
 }
 
 void ShardedStateVector::apply_global_diagonal(
-    const Gate1Q& gate, unsigned target_bit, unsigned shard_ctrl,
-    std::uint64_t local_mask) const {
-  const Complex one(1.0, 0.0);
-  const Complex m00 = gate.m[0], m11 = gate.m[3];
+    std::span<const kernels::BlockOp> ops, unsigned target_bit,
+    unsigned shard_ctrl, std::uint64_t local_mask) const {
+  // The slice index fixes the block index (the target bit) of all its
+  // amplitudes; the kScale ops on that index are the slice's factors, in
+  // program order.
+  std::array<std::vector<Complex>, 2> factors;
+  for (const kernels::BlockOp& op : ops) {
+    for (unsigned j = 0; j < op.count; ++j) {
+      factors[op.idx[j]].push_back(op.m00);
+    }
+  }
+  const auto slice_factors = [&](unsigned w) -> const std::vector<Complex>& {
+    return factors[(w & target_bit) != 0 ? 1 : 0];
+  };
   const std::size_t m = 1ULL << local_bits();
   std::vector<unsigned> parts;
   for (const unsigned w : resident_parts(controlled_shards(shard_ctrl))) {
-    // Phase-type gates (m00 == 1) leave the target-0 half untouched; the
-    // serial kernel skips those amplitudes too.
-    if (m00 == one && (w & target_bit) == 0) continue;
-    parts.push_back(w);
+    // A phase gate has no op on the target-0 half: those slices stay
+    // untouched, as the serial sweep leaves those amplitudes.
+    if (!slice_factors(w).empty()) parts.push_back(w);
   }
   mark_partial_write();
   kernels::IndexExpander ex;
@@ -432,16 +426,15 @@ void ShardedStateVector::apply_global_diagonal(
   const simd::Ops& vo = simd::ops();
   const auto scale_slice = [&](unsigned w, std::size_t begin,
                                std::size_t end) {
-    const Complex factor = (w & target_bit) ? m11 : m00;
     Complex* s = slices_[w].data();
-    if (local_mask == 0) {
-      if (vo.isa != simd::Isa::kScalar) {
+    for (const Complex factor : slice_factors(w)) {
+      if (local_mask != 0) {
+        for (std::size_t k = begin; k < end; ++k) s[ex(k)] *= factor;
+      } else if (vo.isa != simd::Isa::kScalar) {
         vo.scale(s + begin, end - begin, factor);
       } else {
         for (std::size_t i = begin; i < end; ++i) s[i] *= factor;
       }
-    } else {
-      for (std::size_t k = begin; k < end; ++k) s[ex(k)] *= factor;
     }
   };
   if (parts.size() == 1) {

@@ -25,7 +25,7 @@ inline constexpr unsigned kMaxShards = 256;
 ///
 /// Gates on *local* qubits (physical position < n-g) touch only intra-slice
 /// pairs and run embarrassingly parallel, one shard per worker lane, using
-/// the same specialized kernels as the serial backend. A non-diagonal gate
+/// the same block replay as the serial backend. A non-diagonal gate
 /// on a *global* qubit first runs a qubit-relabeling swap: the global bit
 /// trades places with the least-recently-used local bit via one pairwise
 /// permutation exchange through the ShardMesh (the in-process stand-in for
@@ -83,9 +83,10 @@ class ShardedStateVector : public Backend {
 
   /// White-box counters for tests and benchmarks. `relabel_swaps` counts
   /// global<->local bit swaps, the only pairwise slab traffic.
-  /// `cluster_sweeps` counts fused multi-op cluster applications; a
-  /// cluster whose qubits fit the local budget is pulled local first and
-  /// then sweeps slice by slice. `materializations` counts full-replica
+  /// `cluster_sweeps` counts fused multi-op cluster and dense-matrix
+  /// sweeps (a lone gate, a one-op program on a 1-qubit block, does not
+  /// count); a block whose qubits fit the local budget is pulled local
+  /// first and then sweeps slice by slice. `materializations` counts full-replica
   /// gathers (materialize calls that moved slices; always 0 in-process).
   /// Once all shards are active only whole-state inspection, single-chunk
   /// reductions and cross-slice clusters gather.
@@ -101,9 +102,8 @@ class ShardedStateVector : public Backend {
  private:
   void grow_state() override;
   void remove_position_state(std::size_t pos, bool bit) override;
-  void apply_at(const Gate1Q& gate, std::size_t pos,
-                std::uint64_t ctrl_mask) const override;
   void apply_cluster_at(std::span<const std::size_t> pos,
+                        std::uint64_t ctrl_mask,
                         std::span<const kernels::BlockOp> ops) const override;
   void apply_matrix_at(std::span<const Complex> matrix,
                        std::span<const std::size_t> pos,
@@ -157,8 +157,11 @@ class ShardedStateVector : public Backend {
   template <typename Fn>
   void for_each_amp(Fn&& fn) const;
 
-  void apply_global_diagonal(const Gate1Q& gate, unsigned target_bit,
-                             unsigned shard_ctrl,
+  /// Applies a 1-qubit block program of kScale ops whose block bit is
+  /// the global physical bit `target_bit` (a shard-index bit): each slice
+  /// scales by the factors of its block index, with no communication.
+  void apply_global_diagonal(std::span<const kernels::BlockOp> ops,
+                             unsigned target_bit, unsigned shard_ctrl,
                              std::uint64_t local_mask) const;
 
   /// Swaps physical global bit `pg` with physical local bit `pl` by

@@ -115,10 +115,11 @@ inline const Ops& ops() { return ops_for(active()); }
 /// Below this run length (in amplitudes) a sweep cannot hand its state
 /// runs to the primitives directly: a function-pointer call per 1-2
 /// amplitudes costs more than the vector lanes recover, and the AVX-512
-/// path wants at least one full 4-amplitude vector. Gates on qubit
-/// positions >= 2 clear it. Below it, single gates keep scalar loops,
-/// while fused-cluster replay (kernels::run_block_ops_sweep) gathers a
-/// row tile of consecutive blocks so each row is a long run again.
+/// path wants at least one full 4-amplitude vector. Sweeps whose fixed
+/// bits (block and control bits) all sit at positions >= 2 clear it.
+/// Below it the replay (kernels::run_block_ops_sweep) gathers a row tile
+/// of consecutive blocks so each row is a long run again — lone gates
+/// and fused clusters alike.
 inline constexpr std::size_t kMinRun = 4;
 
 }  // namespace qmpi::sim::simd

@@ -43,21 +43,11 @@ void StateVector::remove_position_state(std::size_t pos, bool bit) {
   amplitudes_.resize(amplitudes_.size() / 2);
 }
 
-void StateVector::apply_at(const Gate1Q& gate, std::size_t pos,
-                           std::uint64_t ctrl_mask) const {
-  kernels::apply_1q(amplitudes_.data(), amplitudes_.size(), pos, gate,
-                    ctrl_mask, lanes_pfor(num_threads_));
-}
-
 void StateVector::apply_cluster_at(
-    std::span<const std::size_t> pos,
+    std::span<const std::size_t> pos, std::uint64_t ctrl_mask,
     std::span<const kernels::BlockOp> ops) const {
-  // One memory pass for the whole fused run: replay the compiled ops with
-  // the exact per-gate kernel arithmetic — in place or through a row tile
-  // when a SIMD tier is active, block gather/scatter on the scalar tier.
   kernels::run_block_ops_sweep(amplitudes_.data(), amplitudes_.size(), pos,
-                               /*ctrl_mask=*/0, lanes_pfor(num_threads_),
-                               ops);
+                               ctrl_mask, lanes_pfor(num_threads_), ops);
 }
 
 void StateVector::apply_matrix_at(std::span<const Complex> matrix,

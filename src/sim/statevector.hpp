@@ -35,9 +35,8 @@ class StateVector : public Backend {
  private:
   void grow_state() override;
   void remove_position_state(std::size_t pos, bool bit) override;
-  void apply_at(const Gate1Q& gate, std::size_t pos,
-                std::uint64_t ctrl_mask) const override;
   void apply_cluster_at(std::span<const std::size_t> pos,
+                        std::uint64_t ctrl_mask,
                         std::span<const kernels::BlockOp> ops) const override;
   void apply_matrix_at(std::span<const Complex> matrix,
                        std::span<const std::size_t> pos,

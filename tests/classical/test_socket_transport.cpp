@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -53,11 +54,13 @@ struct TestHub {
 /// Simulates an nprocs-process job in one test binary: every "process" is
 /// a thread owning its own HubClient, and hosts its block of the job's
 /// num_ranks ranks as nested rank threads — the same structure the core
-/// run harness uses. Rethrows the first per-process exception.
+/// run harness uses. Rethrows the first per-process exception. Process p
+/// opens direct peer links unless `p2p_off` lists it (QMPI_P2P=off).
 void run_tcp_job(int nprocs, int num_ranks,
                  const std::function<void(Comm&)>& rank_fn,
                  std::vector<std::uint64_t> proc_totals = {},
-                 std::vector<std::uint64_t>* world_totals = nullptr) {
+                 std::vector<std::uint64_t>* world_totals = nullptr,
+                 const std::vector<int>& p2p_off = {}) {
   TestHub th(nprocs);
   std::vector<std::thread> procs;
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
@@ -65,7 +68,9 @@ void run_tcp_job(int nprocs, int num_ranks,
     procs.emplace_back([&, p] {
       try {
         HubClient client("127.0.0.1", th.hub.port(), p);
-        SocketTransport transport(client, num_ranks);
+        const bool p2p =
+            std::find(p2p_off.begin(), p2p_off.end(), p) == p2p_off.end();
+        SocketTransport transport(client, num_ranks, p2p);
         RunConfig cfg;
         cfg.num_ranks = static_cast<std::uint32_t>(num_ranks);
         cfg.seed = 7;
@@ -538,6 +543,40 @@ TEST(SocketComm, AllreduceHandlesNonPowerOfTwoWorlds) {
           world.allreduce(world.rank() + 1, [](int a, int b) { return a + b; });
       EXPECT_EQ(sum, nranks * (nranks + 1) / 2);
     });
+  }
+}
+
+TEST(SocketComm, ProcessesThatDisagreeOnP2pRunTheSameCollectives) {
+  // QMPI_P2P is a per-process routing choice, so a job may mix it. Every
+  // process must still run the same allreduce and allgather schedules:
+  // mixed jobs finish (a routing-dependent schedule desynchronized the
+  // ranks and hung) and return the results of uniform ones, down to the
+  // last bit of a floating-point sum whose value depends on association.
+  const double terms[] = {1e16, 1.0, -1e16, 1.0, 0.5};
+  const std::vector<std::vector<int>> modes = {{}, {0, 1}, {1}, {0}};
+  for (const int nranks : {3, 5}) {
+    std::vector<double> sums;
+    for (const auto& off : modes) {
+      std::vector<double> got(static_cast<std::size_t>(nranks));
+      run_tcp_job(
+          2, nranks,
+          [&](Comm& world) {
+            const int me = world.rank();
+            const double sum = world.allreduce(
+                terms[me], [](double a, double b) { return a + b; });
+            const auto all = world.allgather(me * 10 + 1);
+            for (int r = 0; r < nranks; ++r) {
+              EXPECT_EQ(all[static_cast<std::size_t>(r)], r * 10 + 1);
+            }
+            got[static_cast<std::size_t>(me)] = sum;
+          },
+          {}, nullptr, off);
+      for (const double g : got) EXPECT_EQ(g, got[0]);
+      sums.push_back(got[0]);
+    }
+    for (const double s : sums) {
+      EXPECT_EQ(s, sums[0]) << "world size " << nranks;
+    }
   }
 }
 

@@ -12,6 +12,8 @@
 // draw for draw.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include <algorithm>
 #include <bit>
 #include <random>
@@ -143,6 +145,48 @@ TEST(ShardedIdentity, GlobalDiagonalGatesNeedNoExchange) {
     EXPECT_EQ(sharded.cluster_sweeps(), clusters_before);
     EXPECT_EQ(sharded.relabel_swaps(), relabels_before);
     expect_bit_identical(serial, sharded);
+  }
+  // Controlled diagonals on qubits prepare_local leaves global (the top
+  // log2(shards) of kQubits), each flushed alone: a lone gate is a
+  // one-op program whose controls are fixed bits of the sweep, and its
+  // compiled kScale ops alone must route it to the per-slice scaling.
+  constexpr std::size_t kTop = kQubits - 1;
+  const std::function<void(sim::Backend&, const std::vector<sim::QubitId>&)>
+      gates[] = {
+          // CZ, local control, global target.
+          [](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
+            sv.cz(q[0], q[kTop]);
+          },
+          // CZ, both qubits global (at 4 and 8 shards).
+          [](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
+            sv.cz(q[kTop - 1], q[kTop]);
+          },
+          // Controlled Rz: a general diagonal with a local control.
+          [](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
+            const sim::QubitId c[] = {q[1]};
+            sv.apply_controlled(sim::gate_rz(-0.43), c, q[kTop - 1]);
+          },
+      };
+  for (const unsigned s : kShardCounts) {
+    for (std::size_t g = 0; g < std::size(gates); ++g) {
+      sim::StateVector serial(7);
+      sim::ShardedStateVector sharded(s, 7);
+      const auto qs = allocate_in_physical_order(serial, kQubits, s);
+      const auto qt = allocate_in_physical_order(sharded, kQubits, s);
+      prepare_local(serial, qs, kQubits - 3);
+      prepare_local(sharded, qt, kQubits - 3);
+      ASSERT_EQ(sharded.relabel_swaps(), 0u);
+      const std::uint64_t clusters_before = sharded.cluster_sweeps();
+      gates[g](serial, qs);
+      gates[g](sharded, qt);
+      serial.flush_gates();
+      sharded.flush_gates();
+      EXPECT_EQ(sharded.relabel_swaps(), 0u)
+          << "shards=" << s << " gate " << g;
+      EXPECT_EQ(sharded.cluster_sweeps(), clusters_before)
+          << "shards=" << s << " gate " << g;
+      expect_bit_identical(serial, sharded);
+    }
   }
 }
 

@@ -172,8 +172,9 @@ TEST(SimdIdentity, PrimitivesMatchScalarAtOddSizesAndOffsets) {
 
 // ------------------------------------------------------------ 1q sweeps ---
 
-// Every gate kind at every target position: positions 0 and 1 take the
-// short-run scalar fallback, higher positions the vector runs.
+// Every gate kind at every target position: a lone gate is a one-op block
+// program, replayed through the row tile at positions 0 and 1 and in
+// place on the vector runs above.
 TEST(SimdIdentity, EveryGateKindAtEveryPosition) {
   check_tiers([](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
     for (std::size_t i = 0; i < q.size(); ++i) {

@@ -255,29 +255,7 @@ class Comm {
 template <typename T>
   requires std::is_trivially_copyable_v<T>
 T Comm::bcast(T value, int root) {
-  check_rank(root);
-  const int tag = next_collective_tag();
-  // Binomial tree rooted at `root`: relative rank r receives from
-  // r - 2^k (highest set bit) and forwards to r + 2^k for growing k.
-  const int n = size();
-  const int rel = (rank() - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (rel & mask) {
-      const int src = (rel - mask + root) % n;
-      value = coll_recv<T>(src, tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rel + mask < n && (rel & (mask - 1)) == 0 && !(rel & mask)) {
-      const int dst = (rel + mask + root) % n;
-      coll_send(value, dst, tag);
-    }
-    mask >>= 1;
-  }
+  bcast(std::span<T>(&value, 1), root);
   return value;
 }
 
@@ -286,6 +264,8 @@ template <typename T>
 void Comm::bcast(std::span<T> buffer, int root) {
   check_rank(root);
   const int tag = next_collective_tag();
+  // Binomial tree rooted at `root`: relative rank r receives from
+  // r - 2^k (highest set bit) and forwards to r + 2^k for growing k.
   const int n = size();
   const int rel = (rank() - root + n) % n;
   int mask = 1;

@@ -1165,12 +1165,6 @@ void PeerMesh::break_listener_for_test() {
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
 }
 
-void PeerMesh::break_links_for_test() {
-  const qmpi::LockGuard lock(mu_);
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  for (const int fd : peer_fds_) ::shutdown(fd, SHUT_RDWR);
-}
-
 void PeerMesh::accept_loop() {
   while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -1445,10 +1439,6 @@ void SocketTransport::send_remote(int owner_proc, int dest_world_rank,
 
 void SocketTransport::break_peer_listener_for_test() {
   if (mesh_) mesh_->break_listener_for_test();
-}
-
-void SocketTransport::break_peer_links_for_test() {
-  if (mesh_) mesh_->break_links_for_test();
 }
 
 Mailbox& SocketTransport::mailbox(int world_rank) {

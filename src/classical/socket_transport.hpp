@@ -374,11 +374,10 @@ class PeerMesh {
   /// the run is already dead.
   bool try_send(int dest_proc, int dest_world_rank, const Message& msg);
 
-  /// Test hooks: make this process refuse new peer connections, or
-  /// additionally sever already-accepted ones (simulating a peer whose
-  /// data plane died while its hub connection lives on).
+  /// Test hook: make this process refuse new peer connections (simulating
+  /// a peer whose data plane died before the first send while its hub
+  /// connection lives on).
   void break_listener_for_test();
-  void break_links_for_test();
 
  private:
   struct Link {
@@ -475,9 +474,8 @@ class SocketTransport final : public Transport {
   /// whatever the old hooks touch. Must not be called from inside a hook.
   void set_sim_hooks(SimHooks hooks);
 
-  /// Test hooks (no-ops when p2p is off): see PeerMesh.
+  /// Test hook (a no-op when p2p is off): see PeerMesh.
   void break_peer_listener_for_test();
-  void break_peer_links_for_test();
 
  private:
   class RankChannel;

@@ -218,46 +218,6 @@ void Backend::apply_controlled(const Gate1Q& gate,
   apply_gate_at(gate, tpos, mask);
 }
 
-void Backend::apply_matrix(std::span<const Complex> matrix,
-                           std::span<const QubitId> targets,
-                           std::span<const QubitId> controls) {
-  const std::size_t k = targets.size();
-  if (k == 0 || k > kMaxFusedQubits) {
-    throw SimulatorError("apply_matrix: target count must be in [1, " +
-                         std::to_string(kMaxFusedQubits) + "], got " +
-                         std::to_string(k));
-  }
-  const std::size_t dim = 1ULL << k;
-  if (matrix.size() != dim * dim) {
-    throw SimulatorError("apply_matrix: expected a " + std::to_string(dim) +
-                         "x" + std::to_string(dim) + " matrix, got " +
-                         std::to_string(matrix.size()) + " entries");
-  }
-  std::vector<std::size_t> pos(k);
-  std::uint64_t target_mask = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    pos[j] = position_checked(targets[j]);
-    const std::uint64_t bit = 1ULL << pos[j];
-    if (target_mask & bit) {
-      throw SimulatorError("apply_matrix: duplicate target qubit " +
-                           std::to_string(targets[j]));
-    }
-    target_mask |= bit;
-  }
-  std::uint64_t ctrl_mask = 0;
-  for (const QubitId c : controls) {
-    const std::uint64_t bit = 1ULL << position_checked(c);
-    if (target_mask & bit) {
-      throw SimulatorError("apply_matrix: control qubit " +
-                           std::to_string(c) + " is also a target");
-    }
-    ctrl_mask |= bit;
-  }
-  for (const std::size_t p : pos) basis_[p] = kUnknownBasis;
-  flush_gates();
-  apply_matrix_at(matrix, pos, ctrl_mask);
-}
-
 bool Backend::measure(QubitId qubit) {
   const std::size_t pos = position_checked(qubit);
   flush_qubits({&qubit, 1});

@@ -112,15 +112,6 @@ class Backend {
   void apply_controlled(const Gate1Q& gate, std::span<const QubitId> controls,
                         QubitId target);
 
-  /// Applies a dense 2^k x 2^k unitary (row-major; bit j of the matrix
-  /// index is targets[j]) on up to kMaxFusedQubits target qubits,
-  /// controlled on all `controls` being |1>. Flushes pending fused gates,
-  /// then runs the generic k-qubit matrix kernel once — the API for
-  /// callers that have already composed their own multi-qubit unitary.
-  void apply_matrix(std::span<const Complex> matrix,
-                    std::span<const QubitId> targets,
-                    std::span<const QubitId> controls = {});
-
   void x(QubitId q) { apply(gate_x(), q); }
   void y(QubitId q) { apply(gate_y(), q); }
   void z(QubitId q) { apply(gate_z(), q); }
@@ -195,9 +186,6 @@ class Backend {
   /// bits of qubit q are position_of(q), like the serial raw array).
   /// Materializes a copy; use for tests, parity checks, and debugging.
   std::vector<Complex> snapshot() const;
-
-  /// Reseeds the measurement RNG.
-  void seed(std::uint64_t s) { rng_.seed(s); }
 
   /// Enables multi-threaded sweeps with `n` worker lanes. Threads kick in
   /// only for registers large enough to amortize the fork/join cost;
@@ -295,10 +283,10 @@ class Backend {
   // every pending cluster that touches the positions they read, collapse or
   // remove already applied; clusters on other qubits may still be pending
   // (they commute with the hook). Hooks over the whole state (amplitude_at,
-  // expectation_masks, pauli_rotation_masks, apply_matrix_at, norm_state,
-  // snapshot_state) run with the queue fully flushed. apply_cluster_at IS
-  // the flush target. Every hook must produce results bit-identical to the
-  // serial backend.
+  // expectation_masks, pauli_rotation_masks, norm_state, snapshot_state)
+  // run with the queue fully flushed. apply_cluster_at IS the flush
+  // target. Every hook must produce results bit-identical to the serial
+  // backend.
 
   /// Appends a |0> tensor factor (the new qubit's logical position is
   /// num_qubits() - 1; the bookkeeping is already updated when called).
@@ -320,12 +308,6 @@ class Backend {
   virtual void apply_cluster_at(
       std::span<const std::size_t> pos, std::uint64_t ctrl_mask,
       std::span<const kernels::BlockOp> ops) const = 0;
-
-  /// Applies a dense 2^k x 2^k unitary at logical positions `pos[0..k)`
-  /// with logical control mask `ctrl_mask` (the apply_matrix hook).
-  virtual void apply_matrix_at(std::span<const Complex> matrix,
-                               std::span<const std::size_t> pos,
-                               std::uint64_t ctrl_mask) const = 0;
 
   virtual double probability_one_at(std::size_t pos) const = 0;
   virtual void collapse_at(std::size_t pos, bool bit, double prob_bit) = 0;

@@ -64,12 +64,6 @@ class GateCluster {
   /// bit order and its ops appended in order.
   void merge(const GateCluster& other);
 
-  /// Dense 2^k x 2^k row-major unitary of the whole run (ops applied in
-  /// order). White-box view of the composed cluster; the flush path
-  /// replays ops instead to keep the arithmetic identical to gate-by-gate
-  /// execution.
-  std::vector<Complex> matrix() const;
-
  private:
   /// Cluster-local bit of `qubit`, adding it if absent.
   std::uint8_t bit_of(std::uint64_t qubit);
@@ -93,11 +87,11 @@ class GateCluster {
 /// insertion-order flush is deterministic and mathematically equivalent to
 /// program order. The queue is flushed in full before any operation that
 /// reads the whole state or couples more qubits than a cluster can hold —
-/// amplitudes, expectation values, snapshots, dense matrices, Pauli
-/// rotations, oversized gates. Operations on a few qubits — measurement,
-/// parity measurement, marginals, deallocation — take only the clusters
-/// that touch those qubits (take_touching): a projector or marginal on q
-/// commutes with any unitary on other qubits, so the rest keep fusing.
+/// amplitudes, expectation values, snapshots, Pauli rotations, oversized
+/// gates. Operations on a few qubits — measurement, parity measurement,
+/// marginals, deallocation — take only the clusters that touch those
+/// qubits (take_touching): a projector or marginal on q commutes with any
+/// unitary on other qubits, so the rest keep fusing.
 class FusionQueue {
  public:
   /// Queues `gate`. Overlapping pending clusters are merged when the

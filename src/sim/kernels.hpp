@@ -86,7 +86,7 @@ inline void remove_bit_in_place(Complex* amp, std::size_t n, std::size_t pos,
   }
 }
 
-/// Upper bound on block qubits the k-qubit kernels accept (16x16 matrix).
+/// Upper bound on block qubits the k-qubit kernels accept (16 amplitudes).
 inline constexpr std::size_t kMaxBlockQubits = 4;
 
 /// One compiled per-block instruction: a 2x2 gate's structural kind with
@@ -216,10 +216,10 @@ inline std::array<std::size_t, 1ULL << kMaxBlockQubits> block_offsets(
 /// every amplitude belongs to exactly one loop iteration and `pfor` may
 /// split the range across lanes with bit-identical results.
 ///
-/// This is the index machinery behind both the generic k-qubit matrix
-/// kernel (apply_matrix_kq) and the fused-cluster replay sweep: a
-/// k-controlled k-qubit operator costs 2^(n-k-c) block visits instead of a
-/// branch-rejecting pass over all 2^n amplitudes.
+/// This is the scalar tier of the block-program replay sweep
+/// (run_block_ops_sweep): a c-controlled k-qubit operator costs
+/// 2^(n-k-c) block visits instead of a branch-rejecting pass over all 2^n
+/// amplitudes.
 template <typename PFor, typename BlockOp>
 void sweep_kq(Complex* amp, std::size_t n, std::span<const std::size_t> pos,
               std::uint64_t ctrl_mask, PFor&& pfor, BlockOp&& op) {
@@ -446,89 +446,6 @@ void run_block_ops_sweep(Complex* amp, std::size_t n,
         t += len;
       } while (g < group && len == piece && end - t >= piece);
       run_block_ops_rows(vo, ops, amp, offs.data(), len, {segs.data(), g});
-    }
-  });
-}
-
-/// Block functor multiplying each gathered 2^k block by a dense row-major
-/// 2^k x 2^k matrix. The one definition of this arithmetic — serial and
-/// sharded matrix paths must share it, or their results drift apart in
-/// the last bit and break the paritycheck contract.
-inline auto matrix_block_op(const Complex* matrix, std::size_t block_size) {
-  return [matrix, block_size](Complex* block) {
-    std::array<Complex, 1ULL << kMaxBlockQubits> out;
-    for (std::size_t r = 0; r < block_size; ++r) {
-      Complex acc(0.0, 0.0);
-      for (std::size_t c = 0; c < block_size; ++c) {
-        acc += matrix[r * block_size + c] * block[c];
-      }
-      out[r] = acc;
-    }
-    for (std::size_t r = 0; r < block_size; ++r) block[r] = out[r];
-  };
-}
-
-/// Streaming chunk (in amplitudes per block-local row) of the vectorized
-/// dense-matrix path: 2^k rows of 64 amplitudes are 16 KiB of scratch,
-/// small enough for a lane's stack and L1.
-inline constexpr std::size_t kMatrixChunk = 64;
-
-/// Applies a dense 2^k x 2^k unitary (row-major) on the state bits
-/// `pos[0..k)` of `amp[0..n)`, controlled on every bit of `ctrl_mask`
-/// being set — the generic k-qubit gate kernel behind Backend::
-/// apply_matrix and the composed-cluster white-box tests. Control-
-/// satisfying indices are enumerated, never branch-rejected, and `pfor`
-/// carries the ThreadPool chunking exactly as in run_block_ops_sweep.
-template <typename PFor>
-void apply_matrix_kq(Complex* amp, std::size_t n,
-                     std::span<const std::size_t> pos, const Complex* matrix,
-                     std::uint64_t ctrl_mask, PFor&& pfor) {
-  const simd::Ops& vo = simd::ops();
-  const std::size_t run = block_sweep_run(pos, ctrl_mask);
-  const std::size_t block_size = 1ULL << pos.size();
-  if (vo.isa == simd::Isa::kScalar || run < simd::kMinRun) {
-    sweep_kq(amp, n, pos, ctrl_mask, std::forward<PFor>(pfor),
-             matrix_block_op(matrix, block_size));
-    return;
-  }
-
-  // Streaming variant: gather a chunk of consecutive blocks row-major into
-  // scratch (one contiguous copy per block-local index), then produce each
-  // output row with a scale_copy + axpy sweep over the scratch rows — the
-  // same column order and multiply/add sequence per amplitude as
-  // matrix_block_op, vectorized across the chunk's blocks.
-  const std::size_t k = pos.size();
-  IndexExpander ex;
-  for (const std::size_t p : pos) ex.add_position(p);
-  ex.add_mask(ctrl_mask);
-  ex.base = ctrl_mask;
-  const int nctrl = std::popcount(ctrl_mask);
-  const std::size_t blocks = n >> (k + static_cast<std::size_t>(nctrl));
-  const auto offs = block_offsets(pos);
-
-  pfor(blocks, [&](std::size_t begin, std::size_t end) {
-    std::array<std::array<Complex, kMatrixChunk>, 1ULL << kMaxBlockQubits>
-        rows;
-    std::size_t t = begin;
-    while (t < end) {
-      const std::size_t rend = std::min(end, (t / run + 1) * run);
-      const std::size_t base = ex(t);
-      const std::size_t len = rend - t;
-      for (std::size_t done = 0; done < len; done += kMatrixChunk) {
-        Complex* p = amp + base + done;
-        const std::size_t c = std::min(kMatrixChunk, len - done);
-        for (std::size_t b = 0; b < block_size; ++b) {
-          std::copy_n(p + offs[b], c, rows[b].data());
-        }
-        for (std::size_t r = 0; r < block_size; ++r) {
-          Complex* out = p + offs[r];
-          vo.scale_copy(out, rows[0].data(), c, matrix[r * block_size]);
-          for (std::size_t col = 1; col < block_size; ++col) {
-            vo.axpy(out, rows[col].data(), c, matrix[r * block_size + col]);
-          }
-        }
-      }
-      t = rend;
     }
   });
 }

@@ -262,10 +262,9 @@ void ShardedStateVector::remove_position_state(std::size_t pos, bool bit) {
 
 // -------------------------------------------------------------- gates ---
 
-template <typename LocalFn, typename BlockFn>
 void ShardedStateVector::sweep_blocks_planned(
     std::span<const std::size_t> pos, std::uint64_t lmask,
-    LocalFn&& local_fn, BlockFn&& block_fn) const {
+    std::span<const kernels::BlockOp> ops) const {
   const std::size_t k = pos.size();
   const std::size_t nl = local_bits();
   const std::size_t m = 1ULL << nl;
@@ -300,14 +299,13 @@ void ShardedStateVector::sweep_blocks_planned(
     mark_partial_write();
     if (parts.empty()) return;
     if (parts.size() == 1) {
-      local_fn(slices_[parts[0]].data(), m,
-               std::span<const std::size_t>(pt), local_mask,
-               lanes_pfor(num_threads_));
+      kernels::run_block_ops_sweep(slices_[parts[0]].data(), m, pt,
+                                   local_mask, lanes_pfor(num_threads_), ops);
       return;
     }
     for_shards(parts, [&](unsigned w) {
-      local_fn(slices_[w].data(), m, std::span<const std::size_t>(pt),
-               local_mask, serial_pfor);
+      kernels::run_block_ops_sweep(slices_[w].data(), m, pt, local_mask,
+                                   serial_pfor, ops);
     });
     return;
   }
@@ -342,7 +340,7 @@ void ShardedStateVector::sweep_blocks_planned(
         const std::size_t i = base | offs[b];
         block[b] = ptr[i >> nl][i & lmask_local];
       }
-      block_fn(block.data());
+      kernels::run_block_ops(block.data(), ops);
       for (std::size_t b = 0; b < block_size; ++b) {
         const std::size_t i = base | offs[b];
         ptr[i >> nl][i & lmask_local] = block[b];
@@ -368,29 +366,7 @@ void ShardedStateVector::apply_cluster_at(
     return;
   }
   if (pos.size() > 1) ++cluster_sweeps_;
-  sweep_blocks_planned(
-      pos, ctrl_mask,
-      [ops](Complex* amp, std::size_t m, std::span<const std::size_t> pt,
-            std::uint64_t local_mask, auto&& pfor) {
-        kernels::run_block_ops_sweep(amp, m, pt, local_mask,
-                                     std::forward<decltype(pfor)>(pfor), ops);
-      },
-      [ops](Complex* block) { kernels::run_block_ops(block, ops); });
-}
-
-void ShardedStateVector::apply_matrix_at(std::span<const Complex> matrix,
-                                         std::span<const std::size_t> pos,
-                                         std::uint64_t ctrl_mask) const {
-  ++cluster_sweeps_;
-  const Complex* mat = matrix.data();
-  sweep_blocks_planned(
-      pos, ctrl_mask,
-      [mat](Complex* amp, std::size_t m, std::span<const std::size_t> pt,
-            std::uint64_t local_mask, auto&& pfor) {
-        kernels::apply_matrix_kq(amp, m, pt, mat, local_mask,
-                                 std::forward<decltype(pfor)>(pfor));
-      },
-      kernels::matrix_block_op(mat, 1ULL << pos.size()));
+  sweep_blocks_planned(pos, ctrl_mask, ops);
 }
 
 void ShardedStateVector::apply_global_diagonal(

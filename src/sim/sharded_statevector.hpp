@@ -83,11 +83,11 @@ class ShardedStateVector : public Backend {
 
   /// White-box counters for tests and benchmarks. `relabel_swaps` counts
   /// global<->local bit swaps, the only pairwise slab traffic.
-  /// `cluster_sweeps` counts fused multi-op cluster and dense-matrix
-  /// sweeps (a lone gate, a one-op program on a 1-qubit block, does not
-  /// count); a block whose qubits fit the local budget is pulled local
-  /// first and then sweeps slice by slice. `materializations` counts full-replica
-  /// gathers (materialize calls that moved slices; always 0 in-process).
+  /// `cluster_sweeps` counts fused multi-qubit cluster sweeps (a lone
+  /// gate, a one-op program on a 1-qubit block, does not count); a block
+  /// whose qubits fit the local budget is pulled local first and then
+  /// sweeps slice by slice. `materializations` counts full-replica gathers
+  /// (materialize calls that moved slices; always 0 in-process).
   /// Once all shards are active only whole-state inspection, single-chunk
   /// reductions and cross-slice clusters gather.
   std::uint64_t relabel_swaps() const { return relabel_swaps_; }
@@ -105,9 +105,6 @@ class ShardedStateVector : public Backend {
   void apply_cluster_at(std::span<const std::size_t> pos,
                         std::uint64_t ctrl_mask,
                         std::span<const kernels::BlockOp> ops) const override;
-  void apply_matrix_at(std::span<const Complex> matrix,
-                       std::span<const std::size_t> pos,
-                       std::uint64_t ctrl_mask) const override;
   double probability_one_at(std::size_t pos) const override;
   void collapse_at(std::size_t pos, bool bit, double prob_bit) override;
   double parity_odd_probability(std::uint64_t mask) const override;
@@ -185,21 +182,18 @@ class ShardedStateVector : public Backend {
   template <typename Keep>
   double sum_norms(std::size_t count, std::size_t pos, Keep keep) const;
 
-  /// Plans and runs one k-qubit block sweep — every non-diagonal sweep
-  /// goes through here: when the block fits the local bits, its global
-  /// bits are first swapped local (LRU victims outside the block) and the
-  /// block then sweeps per slice with no further exchange; a bigger block
-  /// falls back to a cross-slice gather that is still bit-identical to the
-  /// serial enumeration.
-  /// `lmask` is the logical control mask. The all-local hot path calls
-  /// `local_fn(amp, m, pt, local_mask, pfor)` once per participating slice
-  /// so backends can hand it the same streaming SIMD sweeps the serial
-  /// StateVector uses; the cross-slice gather calls `block_fn(block)` with
-  /// 2^k gathered amplitudes, block bit j at pos[j].
-  template <typename LocalFn, typename BlockFn>
+  /// Plans and runs one k-qubit block sweep of `ops` — every non-diagonal
+  /// sweep goes through here: when the block fits the local bits, its
+  /// global bits are first swapped local (LRU victims outside the block)
+  /// and each participating slice then runs the serial StateVector's
+  /// kernels::run_block_ops_sweep with no further exchange; a bigger block
+  /// falls back to a cross-slice gather that replays kernels::run_block_ops
+  /// on 2^k gathered amplitudes (block bit j at pos[j]), still
+  /// bit-identical to the serial enumeration. `lmask` is the logical
+  /// control mask.
   void sweep_blocks_planned(std::span<const std::size_t> pos,
-                            std::uint64_t lmask, LocalFn&& local_fn,
-                            BlockFn&& block_fn) const;
+                            std::uint64_t lmask,
+                            std::span<const kernels::BlockOp> ops) const;
 
   unsigned shards_;  ///< total slices (power of two)
   unsigned gbits_;   ///< log2(shards_)

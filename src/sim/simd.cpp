@@ -50,17 +50,6 @@ __attribute__((noinline)) void scale_scalar(Complex* p, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) p[i] = cmul(p[i], f);
 }
 
-__attribute__((noinline)) void scale_copy_scalar(Complex* dst,
-                                                 const Complex* src,
-                                                 std::size_t n, Complex f) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = cmul(src[i], f);
-}
-
-__attribute__((noinline)) void axpy_scalar(Complex* acc, const Complex* x,
-                                           std::size_t n, Complex f) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += cmul(x[i], f);
-}
-
 __attribute__((noinline)) void pair_dense_scalar(Complex* a, Complex* b,
                                                  std::size_t n, Complex m00,
                                                  Complex m01, Complex m10,
@@ -90,8 +79,7 @@ __attribute__((noinline)) void swap_halves_scalar(Complex* a, Complex* b,
 }
 
 constexpr Ops kScalarOps = {
-    Isa::kScalar,       scale_scalar,        scale_copy_scalar,
-    axpy_scalar,        pair_dense_scalar,   pair_antidiag_scalar,
+    Isa::kScalar, scale_scalar, pair_dense_scalar, pair_antidiag_scalar,
     swap_halves_scalar,
 };
 
@@ -123,36 +111,6 @@ __attribute__((target("avx2"))) void scale_avx2(Complex* p, std::size_t n,
     _mm256_storeu_pd(d + 2 * i, cmul2(_mm256_loadu_pd(d + 2 * i), fr, fi));
   }
   if (i < n) scale_scalar(p + i, n - i, f);
-}
-
-__attribute__((target("avx2"))) void scale_copy_avx2(Complex* dst,
-                                                     const Complex* src,
-                                                     std::size_t n,
-                                                     Complex f) {
-  double* o = reinterpret_cast<double*>(dst);
-  const double* s = reinterpret_cast<const double*>(src);
-  const __m256d fr = _mm256_set1_pd(f.real());
-  const __m256d fi = _mm256_set1_pd(f.imag());
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm256_storeu_pd(o + 2 * i, cmul2(_mm256_loadu_pd(s + 2 * i), fr, fi));
-  }
-  if (i < n) scale_copy_scalar(dst + i, src + i, n - i, f);
-}
-
-__attribute__((target("avx2"))) void axpy_avx2(Complex* acc, const Complex* x,
-                                               std::size_t n, Complex f) {
-  double* a = reinterpret_cast<double*>(acc);
-  const double* s = reinterpret_cast<const double*>(x);
-  const __m256d fr = _mm256_set1_pd(f.real());
-  const __m256d fi = _mm256_set1_pd(f.imag());
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d t = cmul2(_mm256_loadu_pd(s + 2 * i), fr, fi);
-    _mm256_storeu_pd(a + 2 * i,
-                     _mm256_add_pd(_mm256_loadu_pd(a + 2 * i), t));
-  }
-  if (i < n) axpy_scalar(acc + i, x + i, n - i, f);
 }
 
 __attribute__((target("avx2"))) void pair_dense_avx2(Complex* a, Complex* b,
@@ -211,8 +169,7 @@ __attribute__((target("avx2"))) void swap_halves_avx2(Complex* a, Complex* b,
 }
 
 constexpr Ops kAvx2Ops = {
-    Isa::kAvx2,         scale_avx2,        scale_copy_avx2,
-    axpy_avx2,          pair_dense_avx2,   pair_antidiag_avx2,
+    Isa::kAvx2, scale_avx2, pair_dense_avx2, pair_antidiag_avx2,
     swap_halves_avx2,
 };
 
@@ -250,38 +207,6 @@ __attribute__((QMPI_AVX512_TARGET)) void scale_avx512(Complex* p,
     _mm512_storeu_pd(d + 2 * i, cmul4(_mm512_loadu_pd(d + 2 * i), fr, fi));
   }
   if (i < n) scale_scalar(p + i, n - i, f);
-}
-
-__attribute__((QMPI_AVX512_TARGET)) void scale_copy_avx512(Complex* dst,
-                                                           const Complex* src,
-                                                           std::size_t n,
-                                                           Complex f) {
-  double* o = reinterpret_cast<double*>(dst);
-  const double* s = reinterpret_cast<const double*>(src);
-  const __m512d fr = _mm512_set1_pd(f.real());
-  const __m512d fi = fi_alt_of(f.imag());
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm512_storeu_pd(o + 2 * i, cmul4(_mm512_loadu_pd(s + 2 * i), fr, fi));
-  }
-  if (i < n) scale_copy_scalar(dst + i, src + i, n - i, f);
-}
-
-__attribute__((QMPI_AVX512_TARGET)) void axpy_avx512(Complex* acc,
-                                                     const Complex* x,
-                                                     std::size_t n,
-                                                     Complex f) {
-  double* a = reinterpret_cast<double*>(acc);
-  const double* s = reinterpret_cast<const double*>(x);
-  const __m512d fr = _mm512_set1_pd(f.real());
-  const __m512d fi = fi_alt_of(f.imag());
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m512d t = cmul4(_mm512_loadu_pd(s + 2 * i), fr, fi);
-    _mm512_storeu_pd(a + 2 * i,
-                     _mm512_add_pd(_mm512_loadu_pd(a + 2 * i), t));
-  }
-  if (i < n) axpy_scalar(acc + i, x + i, n - i, f);
 }
 
 __attribute__((QMPI_AVX512_TARGET)) void pair_dense_avx512(
@@ -340,8 +265,7 @@ __attribute__((QMPI_AVX512_TARGET)) void swap_halves_avx512(Complex* a,
 }
 
 constexpr Ops kAvx512Ops = {
-    Isa::kAvx512,         scale_avx512,        scale_copy_avx512,
-    axpy_avx512,          pair_dense_avx512,   pair_antidiag_avx512,
+    Isa::kAvx512, scale_avx512, pair_dense_avx512, pair_antidiag_avx512,
     swap_halves_avx512,
 };
 

@@ -84,18 +84,13 @@ Isa active();
 std::string take_env_notice();
 
 /// Function-pointer table of the vector primitives for one tier. All
-/// pointers operate on `n` complex amplitudes and tolerate n == 0; `dst`
-/// and `src` ranges must not overlap (pair primitives take two disjoint
-/// runs of the same length, typically `stride` amplitudes apart).
+/// pointers operate on `n` complex amplitudes and tolerate n == 0; pair
+/// primitives take two disjoint runs of the same length, typically
+/// `stride` amplitudes apart.
 struct Ops {
   Isa isa = Isa::kScalar;
   /// p[i] *= f
   void (*scale)(Complex* p, std::size_t n, Complex f);
-  /// dst[i] = f * src[i]
-  void (*scale_copy)(Complex* dst, const Complex* src, std::size_t n,
-                     Complex f);
-  /// acc[i] += f * x[i]
-  void (*axpy)(Complex* acc, const Complex* x, std::size_t n, Complex f);
   /// {a[i], b[i]} = {m00*a[i] + m01*b[i], m10*a[i] + m11*b[i]}
   void (*pair_dense)(Complex* a, Complex* b, std::size_t n, Complex m00,
                      Complex m01, Complex m10, Complex m11);

@@ -50,14 +50,6 @@ void StateVector::apply_cluster_at(
                                ctrl_mask, lanes_pfor(num_threads_), ops);
 }
 
-void StateVector::apply_matrix_at(std::span<const Complex> matrix,
-                                  std::span<const std::size_t> pos,
-                                  std::uint64_t ctrl_mask) const {
-  kernels::apply_matrix_kq(amplitudes_.data(), amplitudes_.size(), pos,
-                           matrix.data(), ctrl_mask,
-                           lanes_pfor(num_threads_));
-}
-
 void StateVector::collapse_at(std::size_t pos, bool bit, double prob_bit) {
   const std::uint64_t stride = 1ULL << pos;
   const double scale = 1.0 / std::sqrt(prob_bit);

@@ -38,9 +38,6 @@ class StateVector : public Backend {
   void apply_cluster_at(std::span<const std::size_t> pos,
                         std::uint64_t ctrl_mask,
                         std::span<const kernels::BlockOp> ops) const override;
-  void apply_matrix_at(std::span<const Complex> matrix,
-                       std::span<const std::size_t> pos,
-                       std::uint64_t ctrl_mask) const override;
   double probability_one_at(std::size_t pos) const override;
   void collapse_at(std::size_t pos, bool bit, double prob_bit) override;
   double parity_odd_probability(std::uint64_t mask) const override;

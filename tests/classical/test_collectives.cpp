@@ -39,9 +39,21 @@ TEST_P(CollectiveSizes, BcastFromEveryRoot) {
 TEST_P(CollectiveSizes, BcastBufferInPlace) {
   const int n = GetParam();
   cl::Runtime::run(n, [&](cl::Comm& comm) {
-    std::vector<int> buffer(5, comm.rank() == 0 ? 7 : 0);
-    comm.bcast(std::span<int>(buffer), 0);
-    for (const int v : buffer) EXPECT_EQ(v, 7);
+    for (int root = 0; root < n; ++root) {
+      for (const std::size_t len : {0U, 1U, 5U}) {
+        std::vector<int> buffer(len, -1);
+        if (comm.rank() == root) {
+          for (std::size_t i = 0; i < len; ++i) {
+            buffer[i] = 100 * root + static_cast<int>(i);
+          }
+        }
+        comm.bcast(std::span<int>(buffer), root);
+        for (std::size_t i = 0; i < len; ++i) {
+          EXPECT_EQ(buffer[i], 100 * root + static_cast<int>(i))
+              << "root " << root << " len " << len << " index " << i;
+        }
+      }
+    }
   });
 }
 

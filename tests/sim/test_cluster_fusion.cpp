@@ -425,101 +425,6 @@ TEST(ClusterFusion, ReentrantPushIsNeverDeferredPastTheFlush) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(ClusterFusion, ComposedClusterMatrixIsUnitary) {
-  sim::FusionQueue queue;
-  std::vector<sim::GateCluster> evicted;
-  const std::uint64_t c0 = 1, c1 = 2, c2 = 3;
-  queue.push(sim::gate_h(), {}, c0, evicted);
-  const std::uint64_t ctrl0[] = {c0};
-  queue.push(sim::gate_x(), ctrl0, c1, evicted);
-  queue.push(sim::gate_rz(0.6), {}, c1, evicted);
-  const std::uint64_t ctrl1[] = {c1};
-  queue.push(sim::gate_ry(1.3), ctrl1, c2, evicted);
-  ASSERT_TRUE(evicted.empty());
-  const auto batch = queue.take();
-  ASSERT_EQ(batch.size(), 1u);
-  const auto m = batch[0].matrix();
-  const std::size_t dim = 1ULL << batch[0].num_qubits();
-  ASSERT_EQ(m.size(), dim * dim);
-  // U U^dagger = I within rounding.
-  for (std::size_t r = 0; r < dim; ++r) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      Complex acc(0.0, 0.0);
-      for (std::size_t k = 0; k < dim; ++k) {
-        acc += m[r * dim + k] * std::conj(m[c * dim + k]);
-      }
-      EXPECT_NEAR(std::abs(acc - (r == c ? 1.0 : 0.0)), 0.0, 1e-12)
-          << "entry " << r << "," << c;
-    }
-  }
-}
-
-TEST(ClusterFusion, ApplyMatrixMatchesTheGateSequence) {
-  // The composed 16x16/4x4 unitary applied through the generic matrix
-  // kernel must agree with replaying the gates — on both backends.
-  sim::FusionQueue queue;
-  std::vector<sim::GateCluster> evicted;
-  queue.push(sim::gate_h(), {}, 10, evicted);
-  const std::uint64_t ctrl[] = {10};
-  queue.push(sim::gate_x(), ctrl, 11, evicted);
-  queue.push(sim::gate_rz(0.9), {}, 11, evicted);
-  const auto batch = queue.take();
-  ASSERT_EQ(batch.size(), 1u);
-  const auto matrix = batch[0].matrix();
-
-  for (const unsigned shards : {1u, 4u}) {
-    sim::ShardedStateVector by_matrix(shards, 3);
-    sim::StateVector by_gates(3);
-    const auto qm = by_matrix.allocate(6);
-    const auto qg = by_gates.allocate(6);
-    for (std::size_t i = 0; i < 6; ++i) {
-      by_matrix.ry(qm[i], 0.2 + 0.1 * i);
-      by_gates.ry(qg[i], 0.2 + 0.1 * i);
-    }
-    // batch qubit order is push order: {10, 11} -> {q2, q5} here.
-    const sim::QubitId targets[] = {qm[2], qm[5]};
-    by_matrix.apply_matrix(matrix, targets);
-    by_gates.h(qg[2]);
-    by_gates.cnot(qg[2], qg[5]);
-    by_gates.rz(qg[5], 0.9);
-    expect_close(by_matrix.snapshot(), by_gates.snapshot(), 1e-12);
-  }
-}
-
-TEST(ClusterFusion, ApplyMatrixEnumeratesControls) {
-  // X as a 2x2 matrix with two control qubits == Toffoli.
-  const Complex x_matrix[] = {Complex(0, 0), Complex(1, 0), Complex(1, 0),
-                              Complex(0, 0)};
-  sim::StateVector by_matrix(17), by_gates(17);
-  const auto qm = by_matrix.allocate(4);
-  const auto qg = by_gates.allocate(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    by_matrix.ry(qm[i], 0.3 + 0.2 * i);
-    by_gates.ry(qg[i], 0.3 + 0.2 * i);
-  }
-  const sim::QubitId targets[] = {qm[3]};
-  const sim::QubitId controls[] = {qm[0], qm[2]};
-  by_matrix.apply_matrix(x_matrix, targets, controls);
-  by_gates.toffoli(qg[0], qg[2], qg[3]);
-  expect_close(by_matrix.snapshot(), by_gates.snapshot(), 1e-15);
-}
-
-TEST(ClusterFusion, ApplyMatrixValidates) {
-  sim::StateVector sv;
-  const auto q = sv.allocate(3);
-  const Complex bad[] = {Complex(1, 0)};
-  const sim::QubitId one_target[] = {q[0]};
-  EXPECT_THROW(sv.apply_matrix(bad, one_target), sim::SimulatorError);
-  const Complex x_matrix[] = {Complex(0, 0), Complex(1, 0), Complex(1, 0),
-                              Complex(0, 0)};
-  const sim::QubitId dup_targets[] = {q[0], q[0]};
-  EXPECT_THROW(sv.apply_matrix(x_matrix, dup_targets), sim::SimulatorError);
-  const sim::QubitId overlap_ctrl[] = {q[0]};
-  EXPECT_THROW(sv.apply_matrix(x_matrix, one_target, overlap_ctrl),
-               sim::SimulatorError);
-  EXPECT_THROW(sv.apply_matrix(x_matrix, {}), sim::SimulatorError);
-}
-
 TEST(ClusterFusion, MeasurementBoundariesMatchAcrossBackendsUnderFusion) {
   // Mid-circuit measurements interleaved with cluster-building gates: the
   // shared RNG and identical flush decisions must keep every draw equal.

@@ -265,19 +265,13 @@ TEST(KnownBasis, SuperpositionGuardStillFires) {
     } else if (w == "CNOT") {
       sv->h(q[0]);
       sv->cnot(q[0], q[1]);  // target q1 from a |+> control
-    } else if (w == "matrix") {
-      const double r = 1.0 / std::sqrt(2.0);
-      const Complex hm[] = {Complex(r, 0), Complex(r, 0), Complex(r, 0),
-                            Complex(-r, 0)};
-      const sim::QubitId t[] = {q[1]};
-      sv->apply_matrix(hm, t);
     } else {
       const std::pair<sim::QubitId, char> p[] = {{q[1], w == "X" ? 'X' : 'Y'}};
       sv->apply_pauli_rotation(p, 0.4);
     }
     return std::make_pair(std::move(sv), q[1]);
   };
-  for (const char* what : {"H", "CNOT", "matrix", "X", "Y"}) {
+  for (const char* what : {"H", "CNOT", "X", "Y"}) {
     auto [sv, q] = prepared(what);
     expect_error_containing([&] { sv->deallocate_classical(q); },
                             "in superposition");

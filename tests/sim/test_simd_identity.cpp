@@ -14,8 +14,8 @@
 // Coverage: the raw Ops primitives across odd sizes and unaligned
 // offsets; 1q kernels for every gate kind at every position; all
 // control-mask shapes (low/high/adjacent/multi); fused cluster replay
-// (in-place stream and row tile) and dense matrices at k = 1..4; shard
-// counts 1/2/4/8; worker-lane splits.
+// (in-place stream and row tile) at k = 1..4; shard counts 1/2/4/8;
+// worker-lane splits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -151,12 +151,6 @@ TEST(SimdIdentity, PrimitivesMatchScalarAtOddSizesAndOffsets) {
                    Complex*) { o.scale(a, n, f); },
                "scale");
         check2([&](const simd::Ops& o, Complex* a,
-                   Complex* b) { o.scale_copy(a, b, n, f); },
-               "scale_copy");
-        check2([&](const simd::Ops& o, Complex* a,
-                   Complex* b) { o.axpy(a, b, n, f); },
-               "axpy");
-        check2([&](const simd::Ops& o, Complex* a,
                    Complex* b) { o.pair_dense(a, b, n, f, g, -g, -f); },
                "pair_dense");
         check2([&](const simd::Ops& o, Complex* a,
@@ -268,29 +262,6 @@ TEST(SimdIdentity, FusedClusterReplayK1To4) {
       sv.flush_gates();
     });
   }
-}
-
-// Dense k-qubit matrices (the gather/accumulate streaming path), k = 1..4,
-// with and without controls, at low and high positions.
-TEST(SimdIdentity, DenseMatrixK1To4) {
-  check_tiers([](sim::Backend& sv, const std::vector<sim::QubitId>& q) {
-    std::mt19937_64 rng(99);
-    std::uniform_real_distribution<double> d(-1.0, 1.0);
-    for (std::size_t k = 1; k <= 4; ++k) {
-      const std::size_t dim = std::size_t{1} << k;
-      std::vector<Complex> m(dim * dim);
-      for (auto& e : m) e = Complex(d(rng), d(rng));
-      std::vector<sim::QubitId> lo, hi;
-      for (std::size_t j = 0; j < k; ++j) {
-        lo.push_back(q[j]);
-        hi.push_back(q[q.size() - 1 - 2 * j]);
-      }
-      sv.apply_matrix(m, lo);
-      sv.apply_matrix(m, hi);
-      const sim::QubitId ctrl[] = {q[4]};
-      sv.apply_matrix(m, hi, ctrl);
-    }
-  });
 }
 
 // ------------------------------------------------------- sharded backend ---

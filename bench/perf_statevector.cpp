@@ -182,6 +182,42 @@ void BM_AllocateRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_AllocateRelease)->Arg(4)->Arg(12)->Arg(18);
 
+/// The EPR-half tail at state position `pos` of an n-qubit product state:
+/// measure the qubit, apply X if the outcome is 1, free it. Untimed, a
+/// fresh qubit rotated into superposition refills the top position, so
+/// every iteration measures a qubit in superposition at `pos`.
+void BM_MeasureFree(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto pos = static_cast<std::size_t>(state.range(1));
+  sim::StateVector sv(g_seed);
+  std::vector<sim::QubitId> order = sv.allocate(n);  // by position
+  for (const auto id : order) sv.ry(id, 1.3);
+  sv.flush_gates();
+  for (auto _ : state) {
+    const sim::QubitId q = order[pos];
+    const bool outcome = sv.measure(q);
+    benchmark::DoNotOptimize(outcome);
+    if (outcome) sv.x(q);
+    sv.deallocate_classical(q);
+    state.PauseTiming();
+    order.erase(order.begin() + static_cast<std::ptrdiff_t>(pos));
+    order.push_back(sv.allocate(1).front());
+    sv.ry(order.back(), 1.3);
+    sv.flush_gates();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MeasureFree)
+    ->Args({14, 0})
+    ->Args({14, 1})
+    ->Args({14, 7})
+    ->Args({14, 13})
+    ->Args({20, 0})
+    ->Args({20, 1})
+    ->Args({20, 10})
+    ->Args({20, 19});
+
 void BM_PauliRotationDirect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::StateVector sv(g_seed);

@@ -25,6 +25,13 @@ std::vector<kernels::BlockOp> compile_ops(std::span<const ClusterOp> ops,
   return compiled;
 }
 
+/// True for a one-qubit cluster holding exactly the X matrix: the only
+/// pending work a free can fold into its choice of half.
+bool is_lone_x(const GateCluster& cluster) {
+  return cluster.num_qubits() == 1 && cluster.num_ops() == 1 &&
+         cluster.ops().front().gate.m == gate_x().m;
+}
+
 }  // namespace
 
 std::vector<QubitId> Backend::allocate(std::size_t count) {
@@ -138,7 +145,17 @@ void Backend::queue_gate(const Gate1Q& gate,
 }
 
 void Backend::remove_position(std::size_t pos, bool bit) {
-  flush_qubits({&positions_[pos], 1});
+  // A lone uncontrolled X pending on the freed qubit only swaps its halves:
+  // keeping the other half of the unflipped state gives the same bytes
+  // without the sweep (an outcome-1 EPR half reset just before its free).
+  const QubitId qubit = positions_[pos];
+  const std::vector<GateCluster> batch = fusion_.take_touching({&qubit, 1});
+  if (batch.size() == 1 && is_lone_x(batch.front())) {
+    bit = !bit;
+  } else {
+    for (const GateCluster& cluster : batch) apply_cluster(cluster);
+    flush_qubits({&qubit, 1});
+  }
   remove_position_state(pos, bit);
   // Fix the id<->position maps: qubits above `pos` shift down by one.
   index_.erase(positions_[pos]);

@@ -259,8 +259,9 @@ class Backend {
 
   /// Flushes the light cone of the qubit at logical `pos`, removes that
   /// (classical, = `bit`) qubit from the state, and repairs the
-  /// id <-> position maps. Clusters on other qubits stay pending: they are
-  /// keyed by id, not position.
+  /// id <-> position maps. A pending lone X on it is not applied: the
+  /// other half is kept instead. Clusters on other qubits stay pending:
+  /// they are keyed by id, not position.
   void remove_position(std::size_t pos, bool bit);
 
   /// Routes a fusible gate into the cluster queue and applies any clusters
@@ -294,7 +295,8 @@ class Backend {
 
   /// Removes logical position `pos`, keeping the `bit` half. Called before
   /// the position maps are repaired, so num_qubits() is still the old n.
-  /// Only the clusters touching `pos` have been applied (see above).
+  /// Only the clusters touching `pos` have been applied (see above), or
+  /// dropped as a lone X whose flip `bit` already accounts for.
   virtual void remove_position_state(std::size_t pos, bool bit) = 0;
 
   /// The one gate hook: replays the compiled program `ops` over every 2^k

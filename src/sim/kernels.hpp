@@ -62,6 +62,24 @@ inline std::size_t insert_bit(std::size_t k, std::size_t pos, bool bit) {
                                   (bit ? (1ULL << pos) : 0ULL));
 }
 
+/// Shortest run of 2^pos contiguous amplitudes a sweep over one state bit
+/// walks as a block; shorter runs (pos 0-1) go element by element, where a
+/// per-run loop costs more than it saves.
+inline constexpr std::size_t kMinBlockRun = 4;
+
+/// Calls `fn(lo, hi)` for each piece of [begin, end) cut at the multiples
+/// of `run` (a power of two), in ascending order: each piece lies inside
+/// one aligned run.
+template <typename Fn>
+void for_each_run(std::size_t begin, std::size_t end, std::size_t run,
+                  Fn&& fn) {
+  for (std::size_t lo = begin; lo < end;) {
+    const std::size_t hi = std::min(end, (lo | (run - 1)) + 1);
+    fn(lo, hi);
+    lo = hi;
+  }
+}
+
 /// Removes state bit `pos` from `amp[0..n)` in place, keeping the half
 /// where it equals `bit`: afterwards `amp[0..n/2)` holds kept amplitude o
 /// at index o. It comes from insert_bit(o, pos, bit) >= o, so one forward
@@ -70,7 +88,6 @@ inline std::size_t insert_bit(std::size_t k, std::size_t pos, bool bit) {
 /// ones element by element.
 inline void remove_bit_in_place(Complex* amp, std::size_t n, std::size_t pos,
                                 bool bit) {
-  constexpr std::size_t kMinBlockRun = 4;
   const std::size_t half = n / 2;
   const std::size_t run = 1ULL << pos;
   if (run < kMinBlockRun) {

@@ -1,5 +1,6 @@
 #include "sim/statevector.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -21,16 +22,29 @@ void StateVector::grow_state() {
 }
 
 double StateVector::probability_one_at(std::size_t pos) const {
-  // Sweep only the half of the state with the target bit set, enumerating
-  // compressed indices and splicing the bit back in.
+  // Sweep only the half of the state with the target bit set. Compressed
+  // index k lives at insert_bit(k, pos, true), so each aligned run of 2^pos
+  // compressed indices is one contiguous run of amplitudes: the bit is
+  // spliced in once per run, and the norms are added in the same ascending
+  // order as a splice per element.
   const std::size_t half = amplitudes_.size() / 2;
+  const std::size_t run = 1ULL << pos;
   const Complex* amp = amplitudes_.data();
   return chunked_reduce<double>(
-      num_threads_, half, [amp, pos](std::size_t begin, std::size_t end) {
+      num_threads_, half,
+      [amp, pos, run](std::size_t begin, std::size_t end) {
         double p = 0.0;
-        for (std::size_t k = begin; k < end; ++k) {
-          p += std::norm(amp[kernels::insert_bit(k, pos, true)]);
+        if (run < kernels::kMinBlockRun) {
+          for (std::size_t k = begin; k < end; ++k) {
+            p += std::norm(amp[kernels::insert_bit(k, pos, true)]);
+          }
+          return p;
         }
+        kernels::for_each_run(
+            begin, end, run, [amp, pos, &p](std::size_t lo, std::size_t hi) {
+              const Complex* a = amp + kernels::insert_bit(lo, pos, true);
+              for (std::size_t j = 0; j < hi - lo; ++j) p += std::norm(a[j]);
+            });
         return p;
       });
 }
@@ -51,20 +65,34 @@ void StateVector::apply_cluster_at(
 }
 
 void StateVector::collapse_at(std::size_t pos, bool bit, double prob_bit) {
-  const std::uint64_t stride = 1ULL << pos;
+  // Bit `pos` is constant on each aligned run of 2^pos amplitudes: a kept
+  // run is scaled, a dropped one written +0.0.
+  const std::size_t run = 1ULL << pos;
   const double scale = 1.0 / std::sqrt(prob_bit);
   Complex* amp = amplitudes_.data();
-  parallel_sweep(num_threads_, amplitudes_.size(),
-                 [amp, stride, bit, scale](std::size_t begin,
-                                           std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     if (static_cast<bool>(i & stride) == bit) {
-                       amp[i] *= scale;
-                     } else {
-                       amp[i] = Complex(0.0, 0.0);
-                     }
-                   }
-                 });
+  parallel_sweep(
+      num_threads_, amplitudes_.size(),
+      [amp, run, bit, scale](std::size_t begin, std::size_t end) {
+        if (run < kernels::kMinBlockRun) {
+          for (std::size_t i = begin; i < end; ++i) {
+            if (static_cast<bool>(i & run) == bit) {
+              amp[i] *= scale;
+            } else {
+              amp[i] = Complex(0.0, 0.0);
+            }
+          }
+          return;
+        }
+        kernels::for_each_run(
+            begin, end, run, [amp, run, bit, scale](std::size_t lo,
+                                                    std::size_t hi) {
+              if (static_cast<bool>(lo & run) != bit) {
+                std::fill(amp + lo, amp + hi, Complex(0.0, 0.0));
+                return;
+              }
+              for (std::size_t i = lo; i < hi; ++i) amp[i] *= scale;
+            });
+      });
 }
 
 double StateVector::parity_odd_probability(std::uint64_t mask) const {

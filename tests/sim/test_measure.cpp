@@ -3,10 +3,104 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <numbers>
+#include <vector>
 
+#include "sim/kernels.hpp"
+#include "sim/sharded_statevector.hpp"
 #include "sim/statevector.hpp"
+#include "sim/sweep.hpp"
 
 namespace sim = qmpi::sim;
+using sim::Complex;
+
+namespace {
+
+bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+/// probability_one's contract, element by element: the norms of the bit-1
+/// half, each chunk of kReduceChunk compressed indices added in ascending
+/// order with the bit spliced into every index, and the chunk sums added
+/// in chunk order.
+double reference_probability_one(const std::vector<Complex>& state,
+                                 std::size_t pos) {
+  const std::size_t half = state.size() / 2;
+  double total = 0.0;
+  for (std::size_t lo = 0; lo < half; lo += sim::kReduceChunk) {
+    double p = 0.0;
+    for (std::size_t k = lo; k < std::min(half, lo + sim::kReduceChunk);
+         ++k) {
+      p += std::norm(state[sim::kernels::insert_bit(k, pos, true)]);
+    }
+    total += p;
+  }
+  return total;
+}
+
+/// collapse's contract, element by element: amplitudes whose bit `pos` is
+/// `bit` scale by 1/sqrt(prob), all others become +0.0.
+std::vector<Complex> reference_collapse(std::vector<Complex> state,
+                                        std::size_t pos, bool bit,
+                                        double prob) {
+  const double scale = 1.0 / std::sqrt(prob);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (((i >> pos) & 1U) == static_cast<unsigned>(bit)) {
+      state[i] *= scale;
+    } else {
+      state[i] = Complex(0.0, 0.0);
+    }
+  }
+  return state;
+}
+
+/// Counts the doubles of `state` that are -0.0 and that are subnormal, in
+/// the half whose bit `pos` is `bit`.
+std::pair<std::size_t, std::size_t> edge_doubles(
+    const std::vector<Complex>& state, std::size_t pos, bool bit) {
+  std::size_t neg_zeros = 0;
+  std::size_t subnormals = 0;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (((i >> pos) & 1U) != static_cast<unsigned>(bit)) continue;
+    for (const double d : {state[i].real(), state[i].imag()}) {
+      if (d == 0.0 && std::signbit(d)) ++neg_zeros;
+      if (std::fpclassify(d) == FP_SUBNORMAL) ++subnormals;
+    }
+  }
+  return {neg_zeros, subnormals};
+}
+
+/// A product state with p1 = 1/2 at `pos` whose doubles include -0.0 and
+/// subnormals on both sides of `pos`: the qubit above `pos` stays |0> and
+/// takes a Z last, so its bit-1 half holds (-0.0, +0.0); the next two
+/// rotate by 1e-150 and -1e-160, whose product is subnormal. Each qubit is
+/// rotated as it is allocated, so the sweeps run over the growing state.
+/// Returns the qubit at `pos`.
+sim::QubitId prepare_edge_state(sim::Backend& sv, std::size_t n,
+                                std::size_t pos) {
+  const std::size_t zero_q = (pos + 1) % n;
+  std::vector<sim::QubitId> q;
+  for (std::size_t i = 0; i < n; ++i) {
+    q.push_back(sv.allocate(1).front());
+    if (i == zero_q) continue;
+    double theta = 0.4 + 0.13 * static_cast<double>(i);
+    if (i == pos) theta = std::numbers::pi / 2;
+    if (i == (pos + 2) % n) theta = 2e-150;
+    if (i == (pos + 3) % n) theta = -2e-160;
+    sv.ry(q[i], theta);
+    sv.rz(q[i], 0.3 + 0.07 * static_cast<double>(i));
+    sv.flush_gates();
+  }
+  sv.z(q[zero_q]);
+  sv.flush_gates();
+  return q[pos];
+}
+
+}  // namespace
 
 TEST(Measurement, DeterministicOnBasisStates) {
   sim::StateVector sv;
@@ -167,4 +261,66 @@ TEST(Measurement, RepeatedQubitIdsAreRejected) {
   EXPECT_NEAR(sv.probability_one(q[0]), 0.5, 1e-12);
   const sim::QubitId both[] = {q[1], q[0]};
   EXPECT_NEAR(std::abs(sv.amplitude(both, bits)), 0.0, 1e-12);
+}
+
+TEST(MeasureKernels, RunWalkMatchesElementwiseReferenceAtEveryPosition) {
+  // 2^14: one reduction chunk; 2^17: four, so runs at high positions
+  // straddle and exceed a chunk. Every state holds -0.0 and subnormal
+  // doubles on both sides of the measured bit; both outcomes at every
+  // position, on serial (one lane and three, whose lane boundaries cut
+  // runs) and on 1-, 2- and 4-shard backends.
+  for (const std::size_t n : {14u, 17u}) {
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      for (const bool outcome : {false, true}) {
+        // The outcome is the first draw of the seed's RNG against p1 = 1/2:
+        // pick a seed whose draw on a one-qubit |+> gives the wanted one.
+        std::uint64_t seed = 1;
+        for (;; ++seed) {
+          ASSERT_LT(seed, 64u) << "no seed draws outcome " << outcome;
+          sim::StateVector probe(seed);
+          const sim::QubitId plus = probe.allocate(1).front();
+          probe.h(plus);
+          if (probe.measure(plus) == outcome) break;
+        }
+        sim::StateVector sv(seed);
+        const sim::QubitId q = prepare_edge_state(sv, n, pos);
+        const std::vector<Complex> before = sv.snapshot();
+        const double p1 = sv.probability_one(q);
+        ASSERT_EQ(sv.measure(q), outcome);
+        const std::string where = "n=" + std::to_string(n) +
+                                  " pos=" + std::to_string(pos) +
+                                  " outcome=" + std::to_string(outcome);
+        for (const bool bit : {false, true}) {
+          const auto [neg_zeros, subnormals] = edge_doubles(before, pos, bit);
+          ASSERT_GT(neg_zeros, 0u) << where << " half " << bit;
+          ASSERT_GT(subnormals, 0u) << where << " half " << bit;
+        }
+        ASSERT_EQ(p1, reference_probability_one(before, pos)) << where;
+        const std::vector<Complex> after = sv.snapshot();
+        ASSERT_TRUE(same_bytes(
+            after, reference_collapse(before, pos, outcome,
+                                      outcome ? p1 : 1.0 - p1)))
+            << where;
+
+        std::vector<std::unique_ptr<sim::Backend>> others;
+        if (n == 17) {  // 2^17 amplitudes is where sweeps go parallel
+          others.push_back(std::make_unique<sim::StateVector>(seed));
+          others.back()->set_num_threads(3);
+        }
+        for (const unsigned shards : {1u, 2u, 4u}) {
+          others.push_back(
+              sim::make_backend(sim::BackendKind::kSharded, seed, shards));
+        }
+        for (const auto& other : others) {
+          const sim::QubitId oq = prepare_edge_state(*other, n, pos);
+          const std::string which = where + " " + other->name() +
+                                    " threads=" +
+                                    std::to_string(other->num_threads());
+          ASSERT_EQ(other->probability_one(oq), p1) << which;
+          ASSERT_EQ(other->measure(oq), outcome) << which;
+          ASSERT_TRUE(same_bytes(other->snapshot(), after)) << which;
+        }
+      }
+    }
+  }
 }

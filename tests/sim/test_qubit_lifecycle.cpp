@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -375,6 +376,134 @@ TEST(LifecycleProgram, BitIdenticalAcrossBackendsAndCloseToUnfused) {
       ASSERT_EQ(sharded_log, serial_log)
           << "seed=" << seed << " shards=" << shards;
       expect_exact(sharded.snapshot(), ref);
+    }
+  }
+}
+
+namespace {
+
+/// How a test brings the freed qubit to a known value with one gate still
+/// pending on it, and how it frees it.
+enum class Free { kDeallocate, kClassicalFromOne, kClassicalFromZero };
+
+/// Entangles six qubits with fusion off, measures `t` (the one at position
+/// `t_pos`) and makes it a known |1> (kDeallocate, kClassicalFromOne) or
+/// |0> (kClassicalFromZero). Then, with fusion set to `fused`, runs
+/// `last(sv, t)` and frees `t`. With `other_pending`, a rotation on
+/// another qubit is queued first and stays pending through the free.
+template <typename Last>
+void free_after(sim::Backend& sv, bool fused, std::size_t t_pos, Free how,
+                bool other_pending, Last&& last) {
+  sv.set_fusion_enabled(false);
+  const auto q = sv.allocate(6);
+  const sim::QubitId t = q[t_pos];
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    sv.ry(q[i], 0.5 + 0.2 * static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i + 1 < q.size(); ++i) sv.cnot(q[i], q[i + 1]);
+  const bool want = how != Free::kClassicalFromZero;
+  if (sv.measure(t) != want) sv.x(t);
+  sv.set_fusion_enabled(fused);
+  if (other_pending) sv.ry(q[(t_pos + 1) % q.size()], 0.3);
+  last(sv, t);
+  if (how == Free::kDeallocate) {
+    sv.deallocate(t);
+  } else {
+    sv.deallocate_classical(t);
+  }
+}
+
+std::unique_ptr<sim::Backend> backend_for(unsigned shards) {
+  return shards == 0
+             ? sim::make_backend(sim::BackendKind::kSerial, 21)
+             : sim::make_backend(sim::BackendKind::kSharded, 21, shards);
+}
+
+bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+}  // namespace
+
+TEST(FreeRelabel, PendingLoneXIsFoldedIntoTheKeptHalf) {
+  // A lone X pending on a known qubit is dropped at its free, and the
+  // other half is kept: byte-identical to a fusion-off backend, which
+  // applies the X as a swap sweep first. The rotation pending on another
+  // qubit stays pending through the free.
+  const auto x = [](sim::Backend& sv, sim::QubitId t) { sv.x(t); };
+  for (const unsigned shards : {0u, 1u, 2u, 4u}) {
+    for (const std::size_t t_pos : {0u, 1u, 3u, 5u}) {
+      for (const Free how : {Free::kDeallocate, Free::kClassicalFromOne,
+                             Free::kClassicalFromZero}) {
+        const std::string where = "shards=" + std::to_string(shards) +
+                                  " pos=" + std::to_string(t_pos) +
+                                  " how=" +
+                                  std::to_string(static_cast<int>(how));
+        auto fused = backend_for(shards);
+        auto unfused = backend_for(shards);
+        free_after(*fused, true, t_pos, how, true, x);
+        free_after(*unfused, false, t_pos, how, true, x);
+        EXPECT_EQ(fused->pending_clusters(), 1u) << where;
+        EXPECT_EQ(fused->num_qubits(), 5u) << where;
+        EXPECT_TRUE(same_bytes(fused->snapshot(), unfused->snapshot()))
+            << where;
+      }
+    }
+  }
+}
+
+TEST(FreeRelabel, EveryOtherPendingGateStillSweeps) {
+  // Only exactly X, alone on the qubit, is folded. Everything else is
+  // applied before the free: the state ends in the bytes of a run that
+  // flushes before freeing. (Nothing else is pending: a cluster on other
+  // qubits applied before rather than after the free would round
+  // differently.)
+  using Last = void (*)(sim::Backend&, sim::QubitId);
+  const std::vector<std::pair<const char*, Last>> cases = {
+      {"controlled X",
+       [](sim::Backend& sv, sim::QubitId t) {
+         const sim::QubitId c = sv.allocate(1).front();
+         sv.x(c);
+         sv.cnot(c, t);
+       }},
+      {"X fused with Rz",
+       [](sim::Backend& sv, sim::QubitId t) {
+         sv.x(t);
+         sv.rz(t, 0.7);
+       }},
+      {"Y", [](sim::Backend& sv, sim::QubitId t) { sv.y(t); }},
+      {"antidiagonal with a phase",
+       [](sim::Backend& sv, sim::QubitId t) {
+         sv.apply(sim::Gate1Q{{0, Complex(0, 1), Complex(0, 1), 0}, "iX"},
+                  t);
+       }},
+      {"X in a cluster with a second qubit",
+       [](sim::Backend& sv, sim::QubitId t) {
+         const sim::QubitId u = sv.allocate(1).front();
+         sv.h(u);
+         sv.x(t);
+         sv.cz(t, u);
+       }},
+  };
+  for (const auto& [name, last] : cases) {
+    for (const unsigned shards : {0u, 2u}) {
+      for (const Free how : {Free::kDeallocate, Free::kClassicalFromOne}) {
+        const std::string where = std::string(name) +
+                                  " shards=" + std::to_string(shards) +
+                                  " how=" +
+                                  std::to_string(static_cast<int>(how));
+        auto lazy = backend_for(shards);
+        auto flushed = backend_for(shards);
+        free_after(*lazy, true, 2, how, false, last);
+        free_after(*flushed, true, 2, how, false,
+                   [last](sim::Backend& sv, sim::QubitId t) {
+                     last(sv, t);
+                     sv.flush_gates();
+                   });
+        EXPECT_TRUE(same_bytes(lazy->snapshot(), flushed->snapshot()))
+            << where;
+      }
     }
   }
 }

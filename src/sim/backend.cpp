@@ -100,6 +100,7 @@ void Backend::apply_gate_at(const Gate1Q& gate, std::size_t pos,
 }
 
 void Backend::apply_cluster(const GateCluster& cluster) const {
+  ++applied_clusters_;
   // Ids were validated at push time and every deallocation path flushes
   // the clusters touching a qubit before removing it, so all entries must
   // still be live.
@@ -148,13 +149,14 @@ void Backend::remove_position(std::size_t pos, bool bit) {
   // A lone uncontrolled X pending on the freed qubit only swaps its halves:
   // keeping the other half of the unflipped state gives the same bytes
   // without the sweep (an outcome-1 EPR half reset just before its free).
+  // Pending clusters are qubit-disjoint, so at most one touches the qubit,
+  // and applying it queues nothing: one take empties the qubit's queue.
   const QubitId qubit = positions_[pos];
   const std::vector<GateCluster> batch = fusion_.take_touching({&qubit, 1});
-  if (batch.size() == 1 && is_lone_x(batch.front())) {
+  if (!batch.empty() && is_lone_x(batch.front())) {
     bit = !bit;
   } else {
     for (const GateCluster& cluster : batch) apply_cluster(cluster);
-    flush_qubits({&qubit, 1});
   }
   remove_position_state(pos, bit);
   // Fix the id<->position maps: qubits above `pos` shift down by one.

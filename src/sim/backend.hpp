@@ -226,6 +226,11 @@ class Backend {
   /// Number of pending fused clusters (white-box for fusion tests).
   std::size_t pending_clusters() const { return fusion_.num_clusters(); }
 
+  /// Number of pending clusters applied to the state so far, one sweep
+  /// each (white-box for fusion tests: a lone X folded into a free applies
+  /// none).
+  std::uint64_t applied_clusters() const { return applied_clusters_; }
+
   /// Short human-readable backend identifier ("serial", "sharded").
   virtual const char* name() const = 0;
 
@@ -327,6 +332,7 @@ class Backend {
 
   /// fusion_ is mutable: logically-const observers flush pending gates.
   mutable FusionQueue fusion_;
+  mutable std::uint64_t applied_clusters_ = 0;
   std::vector<QubitId> positions_;                  ///< logical pos -> id
   std::unordered_map<QubitId, std::size_t> index_;  ///< id -> logical pos
 

@@ -64,7 +64,9 @@ inline std::size_t insert_bit(std::size_t k, std::size_t pos, bool bit) {
 
 /// Shortest run of 2^pos contiguous amplitudes a sweep over one state bit
 /// walks as a block; shorter runs (pos 0-1) go element by element, where a
-/// per-run loop costs more than it saves.
+/// per-run loop costs more than it saves: walking runs of 1-2 amplitudes
+/// made BM_MeasureFree/{14,20}/{0,1} 1.7-3.4x slower (BENCH_statevector.json,
+/// measure_free_series.short_run_threshold).
 inline constexpr std::size_t kMinBlockRun = 4;
 
 /// Calls `fn(lo, hi)` for each piece of [begin, end) cut at the multiples

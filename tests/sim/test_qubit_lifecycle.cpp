@@ -429,8 +429,8 @@ bool same_bytes(const std::vector<Complex>& a, const std::vector<Complex>& b) {
 TEST(FreeRelabel, PendingLoneXIsFoldedIntoTheKeptHalf) {
   // A lone X pending on a known qubit is dropped at its free, and the
   // other half is kept: byte-identical to a fusion-off backend, which
-  // applies the X as a swap sweep first. The rotation pending on another
-  // qubit stays pending through the free.
+  // applies the X as a swap sweep first, and with no cluster applied. The
+  // rotation pending on another qubit stays pending through the free.
   const auto x = [](sim::Backend& sv, sim::QubitId t) { sv.x(t); };
   for (const unsigned shards : {0u, 1u, 2u, 4u}) {
     for (const std::size_t t_pos : {0u, 1u, 3u, 5u}) {
@@ -445,6 +445,7 @@ TEST(FreeRelabel, PendingLoneXIsFoldedIntoTheKeptHalf) {
         free_after(*fused, true, t_pos, how, true, x);
         free_after(*unfused, false, t_pos, how, true, x);
         EXPECT_EQ(fused->pending_clusters(), 1u) << where;
+        EXPECT_EQ(fused->applied_clusters(), 0u) << where;
         EXPECT_EQ(fused->num_qubits(), 5u) << where;
         EXPECT_TRUE(same_bytes(fused->snapshot(), unfused->snapshot()))
             << where;
@@ -455,10 +456,10 @@ TEST(FreeRelabel, PendingLoneXIsFoldedIntoTheKeptHalf) {
 
 TEST(FreeRelabel, EveryOtherPendingGateStillSweeps) {
   // Only exactly X, alone on the qubit, is folded. Everything else is
-  // applied before the free: the state ends in the bytes of a run that
-  // flushes before freeing. (Nothing else is pending: a cluster on other
-  // qubits applied before rather than after the free would round
-  // differently.)
+  // applied before the free, as the one cluster it fused into: the state
+  // ends in the bytes of a run that flushes before freeing. (Nothing else
+  // is pending: a cluster on other qubits applied before rather than after
+  // the free would round differently.)
   using Last = void (*)(sim::Backend&, sim::QubitId);
   const std::vector<std::pair<const char*, Last>> cases = {
       {"controlled X",
@@ -501,6 +502,7 @@ TEST(FreeRelabel, EveryOtherPendingGateStillSweeps) {
                      last(sv, t);
                      sv.flush_gates();
                    });
+        EXPECT_EQ(lazy->applied_clusters(), 1u) << where;
         EXPECT_TRUE(same_bytes(lazy->snapshot(), flushed->snapshot()))
             << where;
       }

@@ -7,14 +7,16 @@
 //
 // One "job" is a full tenant interaction: open a session (admission),
 // run a layered entangling circuit with inspection and a measurement
-// sweep, close. The concurrent row admits N tenants at once and lets the
-// service's executor pool interleave their O(2^n) sweeps round-robin; the
-// serial row is the old one-job-per-launch regime. The figure of merit is
-// concurrent/serial jobs-per-sec.
+// sweep, close. The concurrent row admits N tenants at once; each
+// session's reader thread runs its own O(2^n) sweeps, up to the service's
+// cap on sessions executing at once (one per hardware thread by default).
+// The serial row is the old one-job-per-launch regime. The figure of
+// merit is concurrent/serial jobs-per-sec.
 //
-// Honesty note, recorded in the JSON: the speedup comes from executor
-// parallelism across backends, so it tracks the host's core count. On the
-// multicore CI runner 8 sessions clear 2x; on a single-core host the
+// Honesty note, recorded in the JSON: the speedup comes from sessions
+// executing in parallel on their own backends, so it tracks the host's
+// core count. On the multicore CI runner 8 sessions clear 2x; on a
+// single-core host the
 // concurrent row measures scheduling overhead only and hovers near (or
 // below) 1x — `host_hw_threads` in the record says which world the
 // numbers came from.
@@ -137,10 +139,11 @@ int main(int argc, char** argv) {
         "  \"qubits\": %u,\n  \"jobs_per_session\": %d,\n"
         "  \"host_hw_threads\": %u,\n"
         "  \"note\": \"speedup = concurrent admission vs serial admission "
-        "(max_sessions=1); it comes from executor parallelism across "
-        "per-session backends, so expect >= 2x at 8 sessions only on a "
-        "multicore host — a single-core host measures scheduling overhead "
-        "and stays near 1x\",\n  \"results\": [\n",
+        "(max_sessions=1); it comes from sessions executing in parallel "
+        "on their own backends, each on its connection's reader thread, so "
+        "expect >= 2x at 8 sessions only on a multicore host — a "
+        "single-core host measures scheduling overhead and stays near "
+        "1x\",\n  \"results\": [\n",
         qubits, jobs_per_session, hw);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];

@@ -9,7 +9,8 @@
 // reserves exactly 2^n amplitudes — over-budget opens get a typed reject
 // instead of an OOM; merely-busy capacity queues FIFO), gets its own
 // backend with its own seeded RNG and epoch/context-id namespace, and has
-// its O(2^n) sweeps fair-scheduled round-robin against the other tenants.
+// its O(2^n) sweeps run by its connection's reader, taking turns FIFO with
+// the other tenants for at most --executors concurrent execution slots.
 // Sessions share one compiled-cluster cache, so a repeated circuit — a
 // Trotter loop, or the same user job run twice — skips cluster
 // compilation entirely.
@@ -42,7 +43,8 @@ int usage(const char* argv0) {
       " (QMPI_MEM_BUDGET)\n"
       "  --cache <n|on|off>  compiled-circuit cache entries"
       " (QMPI_CIRCUIT_CACHE)\n"
-      "  --executors <n>     executor threads (QMPI_SERVICE_EXECUTORS)\n"
+      "  --executors <n>     sessions executing at once"
+      " (QMPI_SERVICE_EXECUTORS)\n"
       "A flag accepts exactly what its variable accepts (README.md's\n"
       "environment table) and overrides it.\n",
       argv0);

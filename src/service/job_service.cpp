@@ -1,15 +1,14 @@
 #include "service/job_service.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <iterator>
 #include <string>
-#include <utility>
 
 #include "classical/error.hpp"
 #include "classical/socket_transport.hpp"
@@ -35,6 +34,37 @@ constexpr std::uint64_t kBytesPerAmp = sizeof(sim::Complex);
 /// no budget this service can express admits them anyway.
 constexpr std::uint32_t kMaxSessionQubits = 62;
 
+/// Writes one frame to a client. A dead client socket is the reader's
+/// problem (it sees EOF on its next read and tears the session down), not
+/// an error here.
+void send_frame(int fd, FrameType type,
+                std::span<const std::byte> body) noexcept {
+  try {
+    classical::write_frame(fd, type, body);
+  } catch (const QmpiError&) {
+  }
+}
+
+void send_reject(int fd, std::uint64_t req_id, RejectKind kind,
+                 std::uint64_t requested_amps, std::uint64_t available_amps,
+                 const std::string& reason) {
+  WireWriter w;
+  w.u64(req_id);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u64(requested_amps);
+  w.u64(available_amps);
+  w.str(reason);
+  send_frame(fd, FrameType::kSvcReject, w.data());
+}
+
+/// True once the client has closed its end of the socket: nothing it sent
+/// is worth a sweep, since no reply could ever reach it.
+bool client_gone(int fd) {
+  pollfd p{fd, POLLRDHUP, 0};
+  return ::poll(&p, 1, 0) > 0 &&
+         (p.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+}
+
 }  // namespace
 
 ServiceConfig ServiceConfig::from_env() {
@@ -47,7 +77,11 @@ ServiceConfig ServiceConfig::from_env() {
 }
 
 JobService::JobService(ServiceConfig config)
-    : config_(config), budget_amps_(config.mem_budget_bytes / kBytesPerAmp) {
+    : config_(config),
+      budget_amps_(config.mem_budget_bytes / kBytesPerAmp),
+      slots_(config.executors != 0
+                 ? config.executors
+                 : std::clamp(std::thread::hardware_concurrency(), 1u, 8u)) {
   if (config_.circuit_cache_entries > 0) {
     cache_ = std::make_shared<sim::ClusterCache>(config_.circuit_cache_entries);
   }
@@ -59,14 +93,6 @@ void JobService::start() {
   listen_fd_ = classical::net::listen_tcp(
       config_.port, /*backlog=*/static_cast<int>(config_.max_sessions) + 16,
       "qmpid", port_);
-  unsigned n = config_.executors;
-  if (n == 0) {
-    n = std::clamp(std::thread::hardware_concurrency(), 1u, 8u);
-  }
-  executors_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    executors_.emplace_back([this] { executor_loop(); });
-  }
   accept_thread_ = std::thread([this] { accept_loop(); });
   started_ = true;
 }
@@ -77,9 +103,10 @@ void JobService::stop() {
     if (stopping_) return;
     stopping_ = true;
     // Sever every live session so blocked readers wake with EOF and run
-    // their own teardown; queued admissions wake to a shutdown reject.
+    // their own teardown; readers waiting for a slot and queued admissions
+    // wake to the stop.
     for (const auto& s : sessions_) ::shutdown(s->fd, SHUT_RDWR);
-    work_cv_.notify_all();
+    for (qmpi::CondVar* turn : slot_waiters_) turn->notify_one();
     admit_cv_.notify_all();
   }
   // shutdown() wakes the blocked accept(); the fd is closed (and
@@ -97,10 +124,6 @@ void JobService::stop() {
     conns.swap(connections_);
   }
   for (Connection& conn : conns) conn.thread.join();
-  for (std::thread& t : executors_) {
-    if (t.joinable()) t.join();
-  }
-  executors_.clear();
 }
 
 ServiceStats JobService::stats() const {
@@ -154,41 +177,10 @@ void JobService::accept_loop() {
       });
     }
     // Joined outside mu_: a reader past its done mark may still be
-    // exiting, and executors must not wait on that.
+    // exiting, and other readers must not wait on that.
     for (Connection& conn : finished) conn.thread.join();
   }
 }
-
-void JobService::send_frame(const std::shared_ptr<Session>& session,
-                            FrameType type,
-                            std::span<const std::byte> body) noexcept {
-  // A dead client socket is the reader thread's problem (it sees EOF and
-  // tears the session down); the executor must not die on a failed reply.
-  try {
-    const qmpi::LockGuard lock(session->write_mu);
-    classical::write_frame(session->fd, type, body);
-  } catch (const QmpiError&) {
-  }
-}
-
-namespace {
-
-void send_reject(int fd, std::uint64_t req_id, RejectKind kind,
-                 std::uint64_t requested_amps, std::uint64_t available_amps,
-                 const std::string& reason) noexcept {
-  try {
-    WireWriter w;
-    w.u64(req_id);
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.u64(requested_amps);
-    w.u64(available_amps);
-    w.str(reason);
-    classical::write_frame(fd, FrameType::kSvcReject, w.data());
-  } catch (const QmpiError&) {
-  }
-}
-
-}  // namespace
 
 // ------------------------------------------------------------- admission ---
 
@@ -289,25 +281,53 @@ std::shared_ptr<JobService::Session> JobService::admit(
   w.u64(req_id);
   w.u64(session->id);
   w.u64(session->epoch);
-  send_frame(session, FrameType::kSvcAccept, w.data());
+  send_frame(fd, FrameType::kSvcAccept, w.data());
   return session;
 }
 
 void JobService::teardown(const std::shared_ptr<Session>& session) {
-  qmpi::UniqueLock lock(mu_);
-  if (session->dead) return;
-  session->dead = true;
-  session->pending.clear();
-  // An executor may be mid-sweep on this backend; wait it out so the
-  // Backend is never destroyed under a running command.
-  while (session->busy) work_cv_.wait(lock);
+  const qmpi::LockGuard lock(mu_);
   sessions_.erase(std::find(sessions_.begin(), sessions_.end(), session));
-  if (cursor_ >= sessions_.size()) cursor_ = 0;
   reserved_amps_ -= session->reserved_amps;
   // Releasing the slot and the amplitudes is what un-blocks queued
   // admissions — the disconnect-teardown regression test pivots on this.
   admit_cv_.notify_all();
-  work_cv_.notify_all();
+}
+
+// ------------------------------------------------------ execution slots ---
+
+bool JobService::acquire_slot() {
+  qmpi::UniqueLock lock(mu_);
+  if (stopping_) return false;
+  if (slot_waiters_.empty() && slots_busy_ < slots_) {
+    ++slots_busy_;
+    return true;
+  }
+  qmpi::CondVar turn;
+  slot_waiters_.push_back(&turn);
+  while (!stopping_ &&
+         !(slot_waiters_.front() == &turn && slots_busy_ < slots_)) {
+    turn.wait(lock);
+  }
+  if (stopping_) {
+    slot_waiters_.erase(
+        std::find(slot_waiters_.begin(), slot_waiters_.end(), &turn));
+    return false;
+  }
+  slot_waiters_.pop_front();
+  ++slots_busy_;
+  // More than one slot may have freed while this reader was waking.
+  if (!slot_waiters_.empty() && slots_busy_ < slots_) {
+    slot_waiters_.front()->notify_one();
+  }
+  return true;
+}
+
+void JobService::release_slot(std::uint64_t ops) {
+  const qmpi::LockGuard lock(mu_);
+  --slots_busy_;
+  ops_executed_ += ops;
+  if (!slot_waiters_.empty()) slot_waiters_.front()->notify_one();
 }
 
 // ------------------------------------------------------------ connection ---
@@ -362,44 +382,41 @@ void JobService::serve_connection(int fd) {
           continue;
         }
         if (frame.type == FrameType::kSvcClose) {
-          // Orderly close: drain everything already queued, then ack with
-          // the session's op count and release its reservations.
-          qmpi::UniqueLock lock(mu_);
-          while (!stopping_ &&
-                 (!session->pending.empty() || session->busy)) {
-            work_cv_.wait(lock);
-          }
-          const std::uint64_t ops = session->ops_executed;
-          lock.unlock();
+          // Orderly close: every earlier command already ran on this
+          // thread, so ack with the session's op count and release its
+          // reservations.
           WireWriter w;
           w.u64(req);
-          w.u64(ops);
-          send_frame(session, FrameType::kSvcClosed, w.data());
+          w.u64(session->ops_executed);
+          send_frame(fd, FrameType::kSvcClosed, w.data());
           break;
         }
-        Command cmd;
-        cmd.req_id = req;
-        cmd.is_batch = frame.type == FrameType::kSvcBatch;
-        const std::span<const std::byte> rest = body.rest();
-        cmd.body.assign(rest.begin(), rest.end());
-        if (cmd.is_batch) {
+        const bool is_batch = frame.type == FrameType::kSvcBatch;
+        const std::span<const std::byte> cmd = body.rest();
+        std::uint32_t op_count = 1;
+        if (is_batch) {
           // kBatch body layout: u8 opcode, u32 op count, encoded ops.
-          WireReader peek(cmd.body);
+          WireReader peek(cmd);
           if (peek.remaining() < 5 ||
               peek.u8() != static_cast<std::uint8_t>(SimOp::kBatch)) {
             const qmpi::LockGuard lock(mu_);
             ++forged_dropped_;
             continue;
           }
-          cmd.op_count = peek.u32();
+          op_count = peek.u32();
+          // A killed client's batches are still buffered here, and this
+          // loop would reach its EOF only after running all of them.
+          if (client_gone(fd)) break;
         }
-        {
-          const qmpi::LockGuard lock(mu_);
-          if (!session->dead) {
-            session->pending.push_back(std::move(cmd));
-            work_cv_.notify_all();
-          }
-        }
+        if (!acquire_slot()) break;  // stopping
+        const std::uint64_t ops_before = session->ops_executed;
+        WireWriter reply;
+        const std::optional<FrameType> reply_type =
+            execute(*session, req, is_batch, op_count, cmd, reply);
+        release_slot(session->ops_executed - ops_before);
+        // Written outside the slot: a client that stops reading blocks
+        // only its own reader.
+        if (reply_type) send_frame(fd, *reply_type, reply.data());
         continue;
       }
       // Unknown or out-of-place frame type: ignore (future client talking
@@ -408,107 +425,65 @@ void JobService::serve_connection(int fd) {
   } catch (const QmpiError&) {
     // EOF or a mid-frame death: the client vanished. Fall through to the
     // teardown below — the session's slot and memory MUST be released or
-    // the service slowly leaks capacity (the regression this PR fixes by
-    // construction).
+    // the service slowly leaks capacity (tests/service/test_teardown.cpp).
   }
   if (session) teardown(session);
   ::close(fd);
 }
 
-// -------------------------------------------------------------- executors ---
+// ------------------------------------------------------------- execution ---
 
-void JobService::executor_loop() {
-  while (true) {
-    qmpi::UniqueLock lock(mu_);
-    std::shared_ptr<Session> picked;
-    for (;;) {
-      if (stopping_) return;
-      // Fair pick: scan from the rotating cursor so each session gets one
-      // command per pass, regardless of how fast any one tenant enqueues.
-      const std::size_t n = sessions_.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t idx = (cursor_ + i) % n;
-        const auto& s = sessions_[idx];
-        if (!s->dead && !s->busy && !s->pending.empty()) {
-          picked = s;
-          cursor_ = (idx + 1) % n;
-          break;
-        }
-      }
-      if (picked) break;
-      work_cv_.wait(lock);
-    }
-    Command cmd = std::move(picked->pending.front());
-    picked->pending.pop_front();
-    picked->busy = true;
-    lock.unlock();
-
-    execute(picked, std::move(cmd));
-
-    lock.lock();
-    picked->busy = false;
-    // Wakes peers three ways: executors (more of this session's queue),
-    // the reader draining an orderly close, and teardown waiting !busy.
-    work_cv_.notify_all();
-  }
-}
-
-void JobService::execute(const std::shared_ptr<Session>& session,
-                         Command cmd) {
-  if (session->broken) {
+std::optional<FrameType> JobService::execute(Session& session,
+                                             std::uint64_t req_id,
+                                             bool is_batch,
+                                             std::uint32_t op_count,
+                                             std::span<const std::byte> cmd,
+                                             WireWriter& reply) {
+  if (session.broken) {
     // A batched gate failed earlier; the op stream is broken for good,
     // exactly like a tcp job's latched op stream. Calls get the latched
     // error (so the client's next sync point throws); batches are noise.
-    if (!cmd.is_batch) {
-      WireWriter w;
-      w.u64(cmd.req_id);
-      w.str(session->broken_reason);
-      send_frame(session, FrameType::kSvcError, w.data());
-    }
-    return;
+    if (is_batch) return std::nullopt;
+    reply.u64(req_id);
+    reply.str(session.broken_reason);
+    return FrameType::kSvcError;
   }
   try {
     // The admission predicate only holds if no session can outgrow what
     // it reserved: gate allocations against the admitted ceiling.
-    if (!cmd.is_batch && !cmd.body.empty() &&
-        cmd.body.front() ==
+    if (!is_batch && !cmd.empty() &&
+        cmd.front() ==
             static_cast<std::byte>(static_cast<std::uint8_t>(SimOp::kAllocate))) {
-      WireReader peek(cmd.body);
+      WireReader peek(cmd);
       peek.u8();
       const std::uint64_t count = peek.u64();
-      const std::uint64_t live = session->backend->num_qubits();
-      if (count > session->max_qubits - live) {
+      const std::uint64_t live = session.backend->num_qubits();
+      if (count > session.max_qubits - live) {
         throw sim::SimulatorError(
             "allocation of " + std::to_string(count) +
             " qubit(s) would exceed this session's admitted ceiling of " +
-            std::to_string(session->max_qubits) + " (currently " +
+            std::to_string(session.max_qubits) + " (currently " +
             std::to_string(live) + " live); reopen with a larger max_qubits");
       }
     }
-    const std::vector<std::byte> reply =
-        apply_sim_request(*session->backend, cmd.body);
-    {
-      const qmpi::LockGuard lock(mu_);
-      ops_executed_ += cmd.op_count;
-      session->ops_executed += cmd.op_count;
+    const std::vector<std::byte> result =
+        apply_sim_request(*session.backend, cmd);
+    session.ops_executed += op_count;
+    if (is_batch) return std::nullopt;
+    reply.u64(req_id);
+    reply.bytes(result);
+    return FrameType::kSvcResult;
+  } catch (const std::exception& e) {
+    // A simulator error, or a body that does not decode (WireReader's
+    // QmpiError): either way this tenant's command failed, not the
+    // service.
+    if (is_batch) {
+      session.broken = true;
+      session.broken_reason = e.what();
     }
-    if (!cmd.is_batch) {
-      WireWriter w;
-      w.u64(cmd.req_id);
-      w.bytes(reply);
-      send_frame(session, FrameType::kSvcResult, w.data());
-    }
-  } catch (const sim::SimulatorError& e) {
-    WireWriter w;
-    if (cmd.is_batch) {
-      session->broken = true;
-      session->broken_reason = e.what();
-      w.u64(0);  // req id 0 = deferred one-way failure
-    } else {
-      w.u64(cmd.req_id);
-    }
-    w.str(e.what());
-    send_frame(session, FrameType::kSvcError, w.data());
+    reply.u64(is_batch ? 0 : req_id);  // req id 0 = deferred batch failure
+    reply.str(e.what());
+    return FrameType::kSvcError;
   }
 }
 

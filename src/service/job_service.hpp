@@ -4,7 +4,8 @@
 /// The multi-tenant job service behind qmpid: one resident process hosts
 /// many concurrent quantum sessions, each with its own Backend (own seeded
 /// RNG, own qubit namespace, own epoch), admitted against a shared memory
-/// budget and fair-scheduled onto a shared executor pool.
+/// budget. Each connection's reader thread runs its own session's commands
+/// under a FIFO cap on how many sessions execute at once.
 ///
 /// Layering: protocol constants live in service/protocol.hpp, the frame
 /// grammar in classical/wire.hpp, and op execution is delegated to
@@ -18,6 +19,7 @@
 #include <deque>
 #include <list>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -54,8 +56,9 @@ struct ServiceConfig {
   /// identical cluster is always a correct replay.
   std::size_t circuit_cache_entries = sim::kDefaultCircuitCacheEntries;
 
-  /// Executor threads draining session command queues round-robin;
-  /// 0 = one per hardware thread (capped at 8).
+  /// Sessions executing a command at once (QMPI_SERVICE_EXECUTORS): the
+  /// cap on concurrent O(2^n) sweeps. 0 = one per hardware thread (capped
+  /// at 8).
   unsigned executors = 0;
 
   /// Reads QMPI_MAX_SESSIONS / QMPI_MEM_BUDGET / QMPI_CIRCUIT_CACHE /
@@ -81,20 +84,26 @@ struct ServiceStats {
 };
 
 /// The resident job service. start() binds the port and spawns the accept
-/// loop plus the executor pool; stop() (or the destructor) tears every
-/// session down and joins all threads. One connection == one session:
-/// admission happens at kSvcOpen, and the connection's reader validates
-/// every subsequent frame's (session id, epoch) stamp against the session
-/// it admitted — a frame forged for another tenant is counted and dropped
-/// without ever touching a backend.
+/// loop; stop() (or the destructor) tears every session down and joins all
+/// threads. One connection == one session: admission happens at kSvcOpen,
+/// and the connection's reader validates every subsequent frame's
+/// (session id, epoch) stamp against the session it admitted — a frame
+/// forged for another tenant is counted and dropped without ever touching
+/// a backend.
 ///
-/// Fairness: each session owns a FIFO command queue; executors repeatedly
-/// pick the next non-busy session after a rotating cursor and run exactly
-/// one command (one kSvcCall op or one kSvcBatch of gates) before moving
-/// on, so an op-dense tenant cannot starve the others between O(2^n)
-/// sweeps. At most one executor runs a given session at a time — each
+/// Execution: the reader that decodes a frame also runs it. It takes one
+/// of `executors` slots, applies the command (one kSvcCall op or one
+/// kSvcBatch of gates) to the session's backend, releases the slot, and
+/// only then writes the reply — so a client that stops reading stalls
+/// its own session and nobody else's. One reader per session means each
 /// Backend runs one operation at a time, exactly as SimServer guarantees
 /// elsewhere.
+///
+/// Fairness: slots are handed out FIFO. A reader takes a free slot at once
+/// only when nobody is waiting; otherwise it queues, so a session that has
+/// just run a command goes behind every session already waiting — one
+/// command per session per pass, and an op-dense tenant cannot starve the
+/// others between O(2^n) sweeps.
 class JobService {
  public:
   explicit JobService(ServiceConfig config = {});
@@ -107,8 +116,9 @@ class JobService {
   /// if the port cannot be bound.
   void start();
 
-  /// Stops accepting, severs every session connection, drains in-flight
-  /// commands, and joins all service threads. Idempotent.
+  /// Stops accepting, severs every session connection, lets commands
+  /// already running finish (queued ones never start), and joins all
+  /// service threads. Idempotent.
   void stop();
 
   /// Bound port (valid after start(); with config.port == 0 this is the
@@ -121,34 +131,17 @@ class JobService {
   ServiceStats stats() const;
 
  private:
-  /// One queued unit of work: a reply-producing kSvcCall op (req_id != 0)
-  /// or a one-way kSvcBatch body (is_batch). `body` is fed verbatim to
-  /// apply_sim_request.
-  struct Command {
-    std::uint64_t req_id = 0;
-    bool is_batch = false;
-    std::uint32_t op_count = 1;
-    std::vector<std::byte> body;
-  };
-
+  /// One admitted session. Only its connection's reader thread touches
+  /// the backend, the socket's write side and the fields below `fd`;
+  /// stop() only shutdown()s the socket.
   struct Session {
     std::uint64_t id = 0;
     std::uint64_t epoch = 0;
     int fd = -1;
-    /// Serializes frames to this client. Leaf lock: taken by executors and
-    /// the reader with no other lock held (never under JobService::mu_).
-    qmpi::Mutex write_mu{"JobService::Session::write_mu"};
-    std::unique_ptr<sim::Backend> backend;  ///< owning executor only (busy)
+    std::unique_ptr<sim::Backend> backend;
     unsigned max_qubits = 0;
     std::uint64_t reserved_amps = 0;
-    // The fields below are guarded by JobService::mu_ (a nested struct
-    // cannot spell QMPI_GUARDED_BY on the outer instance's member) —
-    // except broken/broken_reason/ops_executed, which only the single
-    // executor holding `busy` touches.
-    std::deque<Command> pending;  ///< guarded by JobService::mu_
-    bool busy = false;            ///< an executor is running a command
-    bool dead = false;            ///< torn down; executors must skip it
-    bool broken = false;          ///< a batch op failed; error latched
+    bool broken = false;  ///< a batch op failed; error latched
     std::string broken_reason;
     std::uint64_t ops_executed = 0;
   };
@@ -165,27 +158,36 @@ class JobService {
                                  std::uint32_t sim_threads,
                                  std::uint32_t max_qubits);
 
-  /// Releases a session's backend-pool slot and memory reservation after
-  /// draining (orderly close) or discarding (disconnect) its queue, then
-  /// wakes queued admissions. Safe against a command still executing: it
-  /// waits for the executor to finish the in-flight op first.
+  /// Releases a session's admission slot and memory reservation, then
+  /// wakes queued admissions. Called by the session's own reader once it
+  /// has stopped executing, so no command can be running.
   void teardown(const std::shared_ptr<Session>& session);
 
-  void executor_loop();
-  void execute(const std::shared_ptr<Session>& session, Command cmd);
+  /// Waits FIFO for one of `slots_` execution slots. Returns false, with
+  /// no slot taken, once the service is stopping.
+  bool acquire_slot();
+  /// Frees a slot, crediting `ops` executed ops, and wakes the next waiter.
+  void release_slot(std::uint64_t ops);
 
-  void send_frame(const std::shared_ptr<Session>& session,
-                  classical::FrameType type,
-                  std::span<const std::byte> body) noexcept;
+  /// Runs one kSvcCall op (or, with `is_batch`, one kSvcBatch body of
+  /// `op_count` ops) on the session's backend. Writes the reply owed to
+  /// the client into `reply` and returns its frame type, or nullopt when
+  /// none is owed (a one-way batch that ran, or one after a latched
+  /// failure). Any error, a malformed body included, becomes a typed
+  /// kSvcError; a failed batch also latches.
+  std::optional<classical::FrameType> execute(
+      Session& session, std::uint64_t req_id, bool is_batch,
+      std::uint32_t op_count, std::span<const std::byte> cmd,
+      classical::WireWriter& reply);
 
   ServiceConfig config_;
   std::uint64_t budget_amps_ = 0;
+  unsigned slots_ = 0;  ///< config_.executors with 0 resolved
   std::shared_ptr<sim::ClusterCache> cache_;  ///< null when caching is off
 
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   std::thread accept_thread_;
-  std::vector<std::thread> executors_;
   /// One reader thread per accepted connection. `done` (guarded by mu_,
   /// which a nested struct cannot spell) is set as serve_connection
   /// returns; accept_loop joins done slots before spawning the next
@@ -201,16 +203,18 @@ class JobService {
   /// hierarchy: ordered before ClusterCache::mu (stats() reads the cache
   /// counters under mu_; cross-class QMPI_ACQUIRED_BEFORE is not
   /// expressible, so the runtime lock-order validator enforces it), and
-  /// never held while sending frames (Session::write_mu) or sweeping a
-  /// backend (ThreadPool locks).
+  /// never held while sending frames or sweeping a backend (ThreadPool
+  /// locks).
   mutable qmpi::Mutex mu_{"JobService::mu"};
-  qmpi::CondVar work_cv_;   ///< pending work / busy-flag changes
   qmpi::CondVar admit_cv_;  ///< capacity released / FIFO advances
   bool stopping_ QMPI_GUARDED_BY(mu_) = false;
   /// Admission order.
   std::vector<std::shared_ptr<Session>> sessions_ QMPI_GUARDED_BY(mu_);
-  /// Round-robin scheduling position.
-  std::size_t cursor_ QMPI_GUARDED_BY(mu_) = 0;
+  /// Execution slots in use, and the readers waiting for one in arrival
+  /// order (each waits on its own condition variable, so a release wakes
+  /// exactly the next in line).
+  unsigned slots_busy_ QMPI_GUARDED_BY(mu_) = 0;
+  std::deque<qmpi::CondVar*> slot_waiters_ QMPI_GUARDED_BY(mu_);
   /// FIFO tickets awaiting capacity.
   std::deque<std::uint64_t> admit_queue_ QMPI_GUARDED_BY(mu_);
   std::uint64_t next_ticket_ QMPI_GUARDED_BY(mu_) = 1;

@@ -9,7 +9,7 @@
 ///   client                          service
 ///     | -- kSvcOpen(cfg) ------------> |   admission control (may queue)
 ///     | <- kSvcAccept(session, epoch)  |   or kSvcReject(kind, budget, why)
-///     | -- kSvcCall(req, s, e, op) --> |   fair-scheduled onto an executor
+///     | -- kSvcCall(req, s, e, op) --> |   run by the reader in a FIFO slot
 ///     | <- kSvcResult(req, reply)      |   or kSvcError(req, message)
 ///     | -- kSvcBatch(s, e, ops) -----> |   one-way; a failure latches and
 ///     |                                |   returns as a req-id-0 kSvcError

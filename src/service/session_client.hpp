@@ -75,6 +75,13 @@ class SessionClient final : public BatchingSimClient {
   void send_raw_batch(std::uint64_t session, std::uint64_t epoch,
                       std::span<const std::byte> batch_body);
 
+  /// Test hook: round-trips `request` verbatim as one kSvcCall body, so a
+  /// test can send an op encoding no encoder would produce. Throws
+  /// sim::SimulatorError on the service's kSvcError reply.
+  std::vector<std::byte> send_raw_call(std::span<const std::byte> request) {
+    return ship_call(request);
+  }
+
  private:
   std::vector<std::byte> ship_call(std::span<const std::byte> request) override;
   void ship_batch(std::span<const std::byte> body,

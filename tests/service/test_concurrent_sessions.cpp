@@ -4,7 +4,9 @@
 // measurement RNG, qubit namespace, and epoch of a session belong to that
 // session only. Includes the forged-frame drop test: a kSvcBatch stamped
 // with another session's (id, epoch) must be dropped on arrival, counted,
-// and must not perturb the victim session's amplitudes.
+// and must not perturb the victim session's amplitudes — and the
+// malformed-body test: a body that does not decode fails only the session
+// that sent it, as a typed error, while other tenants run on untouched.
 #include <gtest/gtest.h>
 
 #include <barrier>
@@ -90,10 +92,12 @@ SessionConfig session_config(const JobService& service, std::uint64_t seed) {
 }
 
 /// Bit-identity at `n` concurrent sessions: solo baselines first (one
-/// session at a time), then all n interleaved through one service.
-void expect_isolated(std::size_t n) {
+/// session at a time), then all n interleaved through one service with
+/// `executors` execution slots (0 = the default).
+void expect_isolated(std::size_t n, unsigned executors = 0) {
   ServiceConfig cfg;
   cfg.max_sessions = n;
+  cfg.executors = executors;
   JobService service(cfg);
   service.start();
 
@@ -148,6 +152,10 @@ TEST(ConcurrentSessions, FourSessionsBitIdenticalToSolo) {
 
 TEST(ConcurrentSessions, EightSessionsBitIdenticalToSolo) {
   expect_isolated(8);
+}
+
+TEST(ConcurrentSessions, EightSessionsOneSlotBitIdenticalToSolo) {
+  expect_isolated(8, /*executors=*/1);
 }
 
 TEST(ConcurrentSessions, DistinctSeedsDrawDistinctMeasurementStreams) {
@@ -216,6 +224,47 @@ TEST(ConcurrentSessions, ForgedCrossSessionFrameIsDroppedNotExecuted) {
   attacker.deallocate_classical(aq);
   attacker.close();
   victim.close();
+  service.stop();
+}
+
+TEST(ConcurrentSessions, MalformedBodiesFailOnlyTheirOwnSession) {
+  JobService service{ServiceConfig{}};
+  service.start();
+
+  const std::uint64_t seed = 0xB0B;
+  Outcome solo;
+  {
+    SessionClient b(session_config(service, seed));
+    solo = run_circuit(b, seed);
+    b.close();
+  }
+
+  SessionClient a(session_config(service, 1));
+  SessionClient b(session_config(service, seed));
+  Outcome concurrent;
+  std::thread tenant_b([&] { concurrent = run_circuit(b, seed); });
+
+  // Calls whose bodies stop short: an empty one, and a bare opcode whose
+  // operand never comes. Each fails as that call's typed error.
+  EXPECT_THROW(a.send_raw_call({}), qmpi::sim::SimulatorError);
+  const std::byte bare[] = {
+      static_cast<std::byte>(qmpi::SimOp::kProbabilityOne)};
+  EXPECT_THROW(a.send_raw_call(bare), qmpi::sim::SimulatorError);
+  // A failed call does not latch: the session still answers.
+  EXPECT_EQ(a.num_qubits(), 0u);
+
+  // A batch that promises five ops and carries none fails, latches, and
+  // surfaces at A's next sync call.
+  qmpi::classical::WireWriter truncated;
+  truncated.u8(static_cast<std::uint8_t>(qmpi::SimOp::kBatch));
+  truncated.u32(5);
+  a.send_raw_batch(a.session_id(), a.epoch(), truncated.data());
+  EXPECT_THROW((void)a.num_qubits(), qmpi::sim::SimulatorError);
+
+  tenant_b.join();
+  EXPECT_EQ(concurrent, solo);
+  b.close();
+  a.abandon();
   service.stop();
 }
 

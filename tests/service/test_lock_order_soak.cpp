@@ -1,5 +1,5 @@
 // Clean-run soak for the lock-order validator: eight concurrent sessions
-// drive the full qmpid locking surface (JobService admission + executors,
+// drive the full qmpid locking surface (JobService admission + slots,
 // SessionClient batching, ClusterCache, backend thread pool) with the
 // validator forced on. The assertion is two-sided: the run records a
 // non-trivial ordering graph (the instrumentation demonstrably observed
@@ -33,7 +33,7 @@ void run_session(const JobService& service, std::uint64_t seed) {
   cfg.seed = seed;
   cfg.max_qubits = kQubits;
   // Small batches maximize service-side interleaving: every few ops cross
-  // the executor/cache/pool locks instead of one giant batch per session.
+  // the slot/cache/pool locks instead of one giant batch per session.
   cfg.max_batch_ops = 4;
   SessionClient session(cfg);
   const std::vector<qmpi::sim::QubitId> q = session.allocate(kQubits);

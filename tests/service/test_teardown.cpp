@@ -1,7 +1,8 @@
 // Regression test for the session-teardown leak: a session whose client
-// disconnects MID-RUN (no kSvcClose handshake, commands still queued) must
-// have its backend-pool slot, amplitude reservation, and executor shares
-// released — the next admission succeeds and the service stays healthy.
+// disconnects MID-RUN (no kSvcClose handshake, commands still in flight)
+// must have its backend-pool slot, amplitude reservation, and execution
+// slot released — the next admission succeeds and the service stays
+// healthy.
 // Before the fix, the dead session kept its slot and a max_sessions=1
 // service was wedged forever.
 #include <gtest/gtest.h>
@@ -34,7 +35,8 @@ SessionConfig session_config(const JobService& service, unsigned max_qubits) {
 }
 
 /// Polls until `fn` holds or ~5 s pass (teardown is asynchronous: the
-/// reader thread notices the dead socket, then waits out the executor).
+/// reader thread finishes the command it is running, then notices the
+/// dead socket).
 template <typename Fn>
 bool eventually(Fn fn) {
   for (int i = 0; i < 500; ++i) {
